@@ -16,10 +16,13 @@ Every run must agree bit-for-bit on final cycle count and stable metrics —
 the benchmark doubles as the differential harness.  Reported per fork run:
 
 * ``speedup``           — serial wall / fork wall (higher is better);
-* ``sync_stall_cycles`` — the supervisor's cumulative barrier-wait time
-  converted to simulated-cycle equivalents (``barrier_wait_s * cycles /
-  wall``): how much of the run was spent waiting on the slowest partition
+* ``barrier_wait_s``    — the supervisor's cumulative wall-clock wait at
+  slice barriers for the slowest partition (host seconds, lower is better);
+* ``barrier_wait_frac`` — that wait as a share of the run's wall time
   (lower is better).
+
+Both barrier figures are host time and vary with host load; they are not
+simulated cycles.
 
 Parallel speedup is bounded by the host: N workers cannot beat serial on
 fewer than N CPUs (the processes just timeshare).  The gate therefore
@@ -109,7 +112,8 @@ def run_benchmark(n_cores, n_slrs, worker_counts, rounds, work_per_tick, latency
             "n_workers": n_workers,
             "wall_seconds": round(wall, 4),
             "speedup": round(serial_wall / wall, 3),
-            "sync_stall_cycles": int(dist["dist/barrier_wait_s"] * cycles / wall),
+            "barrier_wait_s": round(dist["dist/barrier_wait_s"], 4),
+            "barrier_wait_frac": round(dist["dist/barrier_wait_s"] / wall, 4),
             "slices": dist["dist/slices"],
             "slice_width": dist["dist/slice_width"],
             "items_shipped": dist["dist/items_shipped"],
@@ -160,13 +164,13 @@ def render(results) -> str:
         f"serial {results['serial_wall_seconds']:.2f}s "
         f"({results['n_stable_metrics']} stable metrics, all runs identical)",
         f"{'workers':>8} {'wall(s)':>9} {'speedup':>8} "
-        f"{'sync_stall_cyc':>14} {'slices':>7}",
+        f"{'barrier(s)':>10} {'barrier%':>8} {'slices':>7}",
     ]
     for run in results["runs"].values():
         lines.append(
             f"{run['n_workers']:>8} {run['wall_seconds']:>9.2f} "
-            f"{run['speedup']:>7.2f}x {run['sync_stall_cycles']:>14} "
-            f"{run['slices']:>7}"
+            f"{run['speedup']:>7.2f}x {run['barrier_wait_s']:>10.3f} "
+            f"{run['barrier_wait_frac']:>8.1%} {run['slices']:>7}"
         )
     return "\n".join(lines)
 

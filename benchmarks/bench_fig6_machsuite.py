@@ -94,39 +94,25 @@ def _sparse_delay_run(scheduling):
     return handle.cycle, latencies, wall, build.design
 
 
-def test_fast_forward_sparse_speedup():
-    """Event-skipping wins >= 3x wall clock on a sparse config, cycle-exactly.
+def test_selective_sparse_speedup():
+    """Selective scheduling matches naive cycle-for-cycle on the sparse
+    configuration and wins >= 3x wall clock: it jumps over the idle windows
+    and elides idle components on the cycles it does step.
 
     The skip accounting is read back through the unified metric registry
     (``sim/*`` namespace) rather than from simulator internals.
     """
     naive_cycle, naive_lat, naive_wall, naive_design = _sparse_delay_run("naive")
-    fast_cycle, fast_lat, fast_wall, fast_design = _sparse_delay_run("fast_forward")
-    speedup = naive_wall / fast_wall
-    print()
-    print(f"naive: {naive_cycle} cycles in {naive_wall:.3f}s")
-    print(f"fast : {fast_cycle} cycles in {fast_wall:.3f}s ({speedup:.1f}x)")
-    print(fast_design.metrics_report("sim"))
-    assert fast_cycle == naive_cycle
-    assert fast_lat == naive_lat
-    assert naive_design.registry.value("sim/cycles_skipped") == 0
-    assert skip_fraction(fast_design.registry) > 0.9
-    assert speedup >= 3.0
-
-
-def test_selective_sparse_speedup():
-    """Selective scheduling matches naive cycle-for-cycle on the same sparse
-    configuration and is at least as fast as whole-design fast-forward (it
-    performs the same idle-window jumps, plus per-component elision on the
-    cycles it does step)."""
-    naive_cycle, naive_lat, naive_wall, _ = _sparse_delay_run("naive")
     sel_cycle, sel_lat, sel_wall, sel_design = _sparse_delay_run("selective")
     speedup = naive_wall / sel_wall
     print()
     print(f"naive    : {naive_cycle} cycles in {naive_wall:.3f}s")
     print(f"selective: {sel_cycle} cycles in {sel_wall:.3f}s ({speedup:.1f}x)")
+    print(sel_design.metrics_report("sim"))
     assert sel_cycle == naive_cycle
     assert sel_lat == naive_lat
+    assert naive_design.registry.value("sim/cycles_skipped") == 0
+    assert skip_fraction(sel_design.registry) > 0.9
     sim = sel_design.sim
     executed = sum(sim.component_ticks(c) for c in sim._components)
     elided_fraction = 1.0 - executed / (sim.cycle * len(sim._components))

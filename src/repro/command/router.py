@@ -81,19 +81,11 @@ class CoreCommandAdapter(Component):
             chans += [io.req, io.resp]
         return chans
 
-    def tick(self, cycle: int) -> None:
-        self._unpack(cycle)
-        self._pack_responses(cycle)
-
-    def next_event(self, cycle: int) -> float:
-        return NEVER  # purely reactive: unpack/pack both pop channel items
-
-    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
-    wake_only = True
-
-    def compile_tick(self):
-        """Specialised tick: phase guards inlined so an idle adapter wake
-        (the common case — commands are rare events) costs two comparisons."""
+    def tick_program(self):
+        """Tick closure that unpacks commands and packs responses; no hint,
+        because both phases pop channel items.  The phase guards are inlined
+        so an idle adapter wake (the common case — commands are rare events)
+        costs two comparisons."""
         cmd_in = self.cmd_in
         resp_out = self.resp_out
         ios = self.ios
@@ -111,7 +103,7 @@ class CoreCommandAdapter(Component):
                         pack(cycle)
                         break
 
-        return tick
+        return tick, None
 
     def _unpack(self, cycle: int) -> None:
         if not self.cmd_in.can_pop():
@@ -204,40 +196,6 @@ class CommandRouter(Component):
             raise ValueError(f"duplicate route for {key}")
         self._routes[key] = _RouteEntry(adapter, latency)
 
-    def tick(self, cycle: int) -> None:
-        # Ingest one command per cycle into the delay line.
-        if self.cmd_in.can_pop():
-            inst = self.cmd_in.peek()
-            entry = self._routes.get((inst.system_id, inst.core_id))
-            if entry is None:
-                raise SimulationError(
-                    f"{self.name}: command for unknown core "
-                    f"({inst.system_id}, {inst.core_id})"
-                )
-            self.cmd_in.pop()
-            self._cmd_delay.append((cycle + entry.latency, inst))
-        # Deliver matured commands.
-        if self._cmd_delay:
-            ready_at, inst = self._cmd_delay[0]
-            entry = self._routes[(inst.system_id, inst.core_id)]
-            if ready_at <= cycle and entry.adapter.cmd_in.can_push():
-                self._cmd_delay.popleft()
-                entry.adapter.cmd_in.push(inst)
-                self.commands_routed += 1
-        # Collect one response per cycle, round-robin over cores.
-        adapters = list(self._routes.values())
-        if adapters:
-            for k in range(len(adapters)):
-                entry = adapters[(self._resp_rr + k) % len(adapters)]
-                if entry.adapter.resp_out.can_pop():
-                    resp = entry.adapter.resp_out.pop()
-                    self._resp_delay.append((cycle + entry.latency, resp))
-                    self._resp_rr = (self._resp_rr + k + 1) % len(adapters)
-                    break
-        if self._resp_delay and self._resp_delay[0][0] <= cycle and self.resp_out.can_push():
-            self.resp_out.push(self._resp_delay.popleft()[1])
-            self.responses_routed += 1
-
     def next_event(self, cycle: int) -> float:
         """Sleep until the head of either delay line matures; ingest and
         response collection are channel-reactive."""
@@ -258,11 +216,13 @@ class CommandRouter(Component):
             chans.append(entry.adapter.resp_out)
         return chans
 
-    def compile_tick(self):
-        """Specialised tick: the adapter list is cached (rebuilt only when a
-        route is attached) and the four phases carry inline guards; the
-        round-robin response sweep only runs when some adapter has a
-        response pending."""
+    def tick_program(self):
+        """Tick closure plus :meth:`next_event`.
+
+        Each tick ingests one command into the delay line, delivers a
+        matured command to its adapter, collects one response round-robin
+        over the adapters, and forwards a matured response.  The adapter
+        list is cached and rebuilt only when a route is attached."""
         cmd_in = self.cmd_in
         resp_out = self.resp_out
         routes = self._routes
@@ -315,7 +275,7 @@ class CommandRouter(Component):
                 resp_out.push(resp_delay.popleft()[1])
                 self.responses_routed += 1
 
-        return tick
+        return tick, self.next_event
 
 
 class MmioFrontend(Component):
@@ -367,7 +327,7 @@ class MmioFrontend(Component):
     def next_event(self, cycle: int) -> float:
         return NEVER  # purely reactive: word assembly and response encode pop channels
 
-    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
+    #: Constant-NEVER hint — lets the selective scheduler skip the hint call.
     wake_only = True
 
     def wake_channels(self):

@@ -45,7 +45,6 @@ class BeethovenBuild:
         platform: Platform,
         build_mode: BuildMode = BuildMode.Simulation,
         tracer: Optional[Tracer] = None,
-        fast_forward: bool = True,
         observability: Optional["Observability"] = None,
         scheduling: Optional[str] = None,
         faults=None,
@@ -59,7 +58,6 @@ class BeethovenBuild:
             self.configs,
             platform,
             tracer,
-            fast_forward=fast_forward,
             observability=observability,
             scheduling=scheduling,
             faults=faults,

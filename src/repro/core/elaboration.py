@@ -97,7 +97,6 @@ class ElaboratedDesign:
         configs,
         platform: Platform,
         tracer: Optional[Tracer] = None,
-        fast_forward: bool = True,
         observability: Optional["Observability"] = None,
         scheduling: Optional[str] = None,
         faults=None,
@@ -142,14 +141,12 @@ class ElaboratedDesign:
             if self.observability.enabled and self.dist_config is None
             else None
         )
-        # Built designs default to the per-component selective scheduler:
-        # every framework component declares wake channels and hints, and
-        # unhinted user cores are still ticked every cycle.  ``scheduling``
-        # overrides explicitly ("naive"/"fast_forward"/"selective"), e.g. for
-        # the differential harness; ``fast_forward=False`` keeps its legacy
-        # meaning of plain naive stepping.
+        # Built designs default to the selective scheduler: every framework
+        # component declares wake channels and hints, and unhinted user
+        # cores are still ticked every cycle.  ``scheduling="naive"`` picks
+        # the tick-everything oracle, e.g. for the differential harness.
         if scheduling is None:
-            scheduling = "selective" if fast_forward else "naive"
+            scheduling = "selective"
         self.sim = Simulator(
             "beethoven",
             tracer=self.tracer,

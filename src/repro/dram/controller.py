@@ -162,113 +162,9 @@ class MemoryController(Component):
     def _outstanding(self) -> int:
         return len(self._read_txns) + len(self._write_txns)
 
-    def _rr_ids(self) -> List[int]:
-        ids = self._return_rr
-        if not ids:
-            return []
-        pos = self._return_rr_pos % len(ids)
-        return ids[pos:] + ids[:pos]
-
     def _note_id(self, axi_id: int) -> None:
         if axi_id not in self._return_rr:
             self._return_rr.append(axi_id)
-
-    # ------------------------------------------------------------------ tick
-    def tick(self, cycle: int) -> None:
-        self._maybe_refresh(cycle)
-        self._accept_requests(cycle)
-        self._enqueue_columns(cycle)
-        self._prep_banks(cycle)
-        self._issue_column(cycle)
-        self._return_read_data(cycle)
-        self._return_write_responses(cycle)
-
-    # ------------------------------------------------------------------ phases
-    def _maybe_refresh(self, cycle: int) -> None:
-        if cycle and cycle % self.timing.t_refi == 0:
-            for bank in self.banks:
-                bank.block_for_refresh(cycle)
-            self.stats["refreshes"] += 1
-
-    def _accept_requests(self, cycle: int) -> None:
-        if self.port.ar.can_pop() and self._outstanding() < self.timing.max_outstanding_txns:
-            req = self.port.ar.pop()
-            txn = _ReadTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
-            self._read_txns[req.tag] = txn
-            self._id_read_issue.setdefault(req.axi_id, deque()).append(txn)
-            self._id_read_return.setdefault(req.axi_id, deque()).append(txn)
-            self._id_read_pipe.setdefault(req.axi_id, deque()).append(txn)
-            self._note_id(req.axi_id)
-        if self.port.aw.can_pop() and self._outstanding() < self.timing.max_outstanding_txns:
-            req = self.port.aw.pop()
-            txn = _WriteTxn(req.tag, req.axi_id, req.addr, req.length, cycle)
-            self._write_txns[req.tag] = txn
-            self._id_write_issue.setdefault(req.axi_id, deque()).append(txn)
-            self._id_write_return.setdefault(req.axi_id, deque()).append(txn)
-            self._id_write_pipe.setdefault(req.axi_id, deque()).append(txn)
-            self._writes_awaiting_data.append(txn)
-            self._note_id(req.axi_id)
-        if self.port.w.can_pop() and self._writes_awaiting_data:
-            head = self._writes_awaiting_data[0]
-            beat = self.port.w.pop()
-            head.wbeats.append(beat)
-            if beat.last:
-                head.data_complete = True
-                self._writes_awaiting_data.popleft()
-
-    def _enqueue_columns(self, cycle: int) -> None:
-        """Move column commands from head-of-ID transactions into the
-        scheduler window.  Only the head transaction of each ID contributes —
-        this is the per-ID serialisation rule."""
-        budget = 8  # command-processing bandwidth per cycle
-        beat_bytes = self.timing.col_bytes
-        limit = self.timing.per_id_txn_limit
-        for axi_id in list(self._id_read_issue):
-            q = self._id_read_issue[axi_id]
-            while q and budget > 0 and len(self._sched) < self.timing.sched_queue_depth:
-                txn = q[0]
-                if txn.cols_enqueued >= txn.length:
-                    q.popleft()
-                    continue
-                if txn.cols_enqueued == 0 and not self._may_start(
-                    self._id_read_pipe, axi_id, txn
-                ):
-                    break
-                addr = txn.addr + txn.cols_enqueued * beat_bytes
-                bank, row, _col = self.timing.decompose(addr)
-                self._sched.append(
-                    _ColReq(txn, txn.cols_enqueued, addr, bank, row, False, cycle)
-                )
-                txn.cols_enqueued += 1
-                budget -= 1
-                if txn.cols_enqueued >= txn.length:
-                    q.popleft()
-                    break  # next same-ID txn starts no earlier than next cycle
-        for axi_id in list(self._id_write_issue):
-            q = self._id_write_issue[axi_id]
-            while q and budget > 0 and len(self._sched) < self.timing.sched_queue_depth:
-                txn = q[0]
-                if txn.cols_enqueued >= txn.length:
-                    q.popleft()
-                    continue
-                # Cut-through: a write column is eligible as soon as its W
-                # beat has arrived (no store-and-forward of whole bursts).
-                if txn.cols_enqueued >= len(txn.wbeats):
-                    break
-                if txn.cols_enqueued == 0 and not self._may_start(
-                    self._id_write_pipe, axi_id, txn
-                ):
-                    break
-                addr = txn.addr + txn.cols_enqueued * beat_bytes
-                bank, row, _col = self.timing.decompose(addr)
-                self._sched.append(
-                    _ColReq(txn, txn.cols_enqueued, addr, bank, row, True, cycle)
-                )
-                txn.cols_enqueued += 1
-                budget -= 1
-                if txn.cols_enqueued >= txn.length:
-                    q.popleft()
-                    break
 
     def _may_start(self, pipes: Dict[int, Deque[object]], axi_id: int, txn: object) -> bool:
         """A transaction enters the DRAM pipeline only when it is among the
@@ -293,130 +189,21 @@ class MemoryController(Component):
             except ValueError:
                 pass
 
-    def _prep_banks(self, cycle: int) -> None:
-        """Open rows for pending column commands (oldest-first per bank)."""
-        preps = 2  # activate/precharge command bandwidth per cycle
-        seen_banks = set()
-        for req in self._sched:
-            if preps == 0:
-                break
-            if req.bank in seen_banks:
-                continue
-            seen_banks.add(req.bank)
-            bank = self.banks[req.bank]
-            if bank.open_row != req.row and bank.can_prep(cycle):
-                if bank.open_row is not None:
-                    self.stats["row_conflicts"] += 1
-                bank.prep(req.row, cycle)
-                bank.record_access(False)
-                self.stats["row_misses"] += 1
-                preps -= 1
-
-    def _issue_column(self, cycle: int) -> None:
-        if cycle < self._bus_free_at or not self._sched:
-            return
-        ready = [
-            (i, r)
-            for i, r in enumerate(self._sched)
-            if self.banks[r.bank].row_open(r.row, cycle)
-        ]
-        if not ready:
-            return
-        same_dir = [(i, r) for i, r in ready if r.is_write == self._bus_dir_write]
-        if same_dir and self._dir_streak < self.timing.direction_streak:
-            idx, req = same_dir[0]
-        else:
-            idx, req = ready[0]
-        turnaround = req.is_write != self._bus_dir_write
-        if turnaround:
-            self._bus_dir_write = req.is_write
-            self._dir_streak = 0
-            self.stats["turnarounds"] += 1
-        self._dir_streak += 1
-        self._bus_free_at = cycle + 1 + (self.timing.t_bus_turn if turnaround else 0)
-        self.stats["bus_cycles"] += 1
-        self.stats["queue_wait_cycles"] += cycle - req.enqueued_cycle
-        del self._sched[idx]
-        self.banks[req.bank].record_access(True)
-        self.stats["row_hits"] += 1
-        if req.is_write:
-            txn: _WriteTxn = req.txn
-            beat = txn.wbeats[req.beat_idx]
-            self.store.write(req.addr, beat.data, beat.strb)
-            txn.cols_done += 1
-            self.stats["write_cols"] += 1
-        else:
-            rtxn: _ReadTxn = req.txn
-            data = self.store.read(req.addr, self.timing.col_bytes)
-            err = False
-            hook = self._fault
-            if hook is not None:
-                data, err = hook.filter_read(cycle, req.addr, data)
-            rtxn.beats[req.beat_idx] = (cycle + self.timing.t_cl, data, err)
-            rtxn.cols_done += 1
-            self.stats["read_cols"] += 1
-
-    def _return_read_data(self, cycle: int) -> None:
-        if not self.port.r.can_push():
-            return
-        for axi_id in self._rr_ids():
-            q = self._id_read_return.get(axi_id)
-            if not q:
-                continue
-            txn = q[0]
-            entry = txn.beats[txn.beats_sent]
-            if entry is None or entry[0] > cycle:
-                continue
-            last = txn.beats_sent == txn.length - 1
-            self.mport.push_r(
-                cycle,
-                RBeat(
-                    axi_id=axi_id, data=entry[1], last=last, tag=txn.tag, err=entry[2]
-                ),
-            )
-            txn.beats_sent += 1
-            if last:
-                q.popleft()
-                del self._read_txns[txn.tag]
-                # Pipeline slot frees once the data has left the controller.
-                self._retire(self._id_read_pipe, axi_id, txn)
-            self._return_rr_pos += 1
-            return
-
-    def _return_write_responses(self, cycle: int) -> None:
-        if not self.port.b.can_push():
-            return
-        for axi_id in self._rr_ids():
-            q = self._id_write_return.get(axi_id)
-            if not q:
-                continue
-            txn = q[0]
-            if txn.cols_done < txn.length:
-                continue
-            self.mport.push_b(cycle, BResp(axi_id=axi_id, okay=True, tag=txn.tag))
-            q.popleft()
-            del self._write_txns[txn.tag]
-            self._retire(self._id_write_pipe, axi_id, txn)
-            return
-
-    # ----------------------------------------------------------- event skipping
+    # ------------------------------------------------------------- behaviour
     def wake_channels(self):
         # The AXI slave port channels belong to the monitor wrapper, not this
         # component; request arrivals (and freed R/B space) on them are the
         # only external events that unblock the controller.
         return self.port.channels()
 
-    # ------------------------------------------------------------- compiled tick
-    def compile_tick(self):
-        """Specialised tick for the compiled scheduler.
+    def tick_program(self):
+        """The controller's tick and wake hint, as closures.
 
-        Same phases, same decisions, same statistics as :meth:`tick`; the
-        difference is purely mechanical — channel endpoints, bank objects,
-        timing constants and stat counters are captured as locals, the
-        FR-FCFS ready scan runs once with an early exit instead of building
-        ready/same-dir lists, the bank-prep row test is inlined, and the
-        return-path round-robin rotation is computed arithmetically instead
-        of slicing ``_return_rr`` twice per call.
+        One tick runs seven phases in order: refresh, request accept,
+        per-ID column enqueue, bank prep fused with the FR-FCFS column pick,
+        column issue, then round-robin read-data and write-response return.
+        Channel endpoints, bank objects, timing constants and stat counters
+        are captured as locals.
         """
         timing = self.timing
         t_refi = timing.t_refi
@@ -553,13 +340,16 @@ class MemoryController(Component):
                         break
             if sched:
                 # -- prep banks + FR-FCFS pick, one fused walk ------------
-                # Equivalent to the separate prep-then-issue passes: a
-                # bank's prep decision happens at its first occurrence in
-                # ``sched``, which precedes (or is) any entry of that bank
-                # the issue check visits, so every readiness test still sees
-                # post-prep bank state; preps consume their budget in the
-                # same first-occurrence order; and the walk only stops early
-                # once both the pick is settled and prep can do no more.
+                # Oldest-first per bank, at most two precharge+activate
+                # commands per cycle: a bank's prep decision happens at its
+                # first occurrence in ``sched``, which precedes (or is) any
+                # entry of that bank the issue check visits, so every
+                # readiness test sees post-prep bank state.  Switching rows
+                # costs t_rp + t_rcd and waits out t_ras.  The pick is the
+                # oldest ready column in the current bus direction (while
+                # the direction streak allows), else the oldest ready one;
+                # the walk stops once the pick is settled and prep can do
+                # no more.
                 preps = 2
                 seen = 0
                 full_mask = (1 << len(banks)) - 1
@@ -716,69 +506,16 @@ class MemoryController(Component):
                     retire(id_write_pipe, axi_id, txn)
                     break
 
-        return tick
-
-    def compile_hint(self):
-        """Conservative compiled hint: wake every cycle while any transaction
-        is outstanding, else sleep to the next refresh edge.
-
-        :meth:`next_event` walks the transaction tables to find the exact
-        next progress cycle; under the compiled scheduler that walk costs
-        more than the no-op ticks it saves (an outstanding transaction keeps
-        the controller hot within a few cycles anyway).  Early wakes are
-        no-op ticks by the hint contract, so decisions and cycle counts are
-        unchanged; the refresh-edge cap when idle is identical to
-        :meth:`next_event`'s.
-        """
-        t = self.timing.t_refi
-        read_txns = self._read_txns
-        write_txns = self._write_txns
-        sched = self._sched
-
-        def hint(cycle):
+        def next_event(cycle):
+            # Conservative: wake every cycle while any transaction is
+            # outstanding (an exact walk of the transaction tables costs
+            # more than the no-op ticks it saves), else sleep to the next
+            # refresh edge, which fires whether or not traffic is pending.
             if read_txns or write_txns or sched:
                 return cycle
-            return cycle if (cycle and cycle % t == 0) else (cycle // t + 1) * t
+            return cycle if (cycle and not cycle % t_refi) else (cycle // t_refi + 1) * t_refi
 
-        return hint
-
-    def next_event(self, cycle: int) -> float:
-        """Earliest cycle this controller can make progress without new
-        channel traffic.
-
-        Refresh fires on a fixed cadence whether or not traffic is pending
-        (it mutates bank state and the refresh counter), so the hint is
-        always capped at the next refresh edge — skips can never jump over
-        one.  While column work is pending the controller stays on the naive
-        path (bank prep/bus arbitration is cheap and short-lived); the long
-        sleeps it reports are CAS-latency waits on read data maturity.
-        """
-        t = self.timing.t_refi
-        nxt = cycle if (cycle and cycle % t == 0) else (cycle // t + 1) * t
-        busy = bool(self._sched)
-        if not busy:
-            for txn in self._read_txns.values():
-                if txn.cols_enqueued < txn.length:
-                    busy = True
-                    break
-        if not busy:
-            for wtxn in self._write_txns.values():
-                if wtxn.cols_enqueued < wtxn.length and len(wtxn.wbeats) > wtxn.cols_enqueued:
-                    busy = True  # staged W data ready to enter the scheduler
-                    break
-                if wtxn.cols_done >= wtxn.length:
-                    busy = True  # B response owed
-                    break
-        if busy:
-            return cycle
-        for q in self._id_read_return.values():
-            if q:
-                txn = q[0]
-                if txn.beats_sent < txn.length:
-                    entry = txn.beats[txn.beats_sent]
-                    if entry is not None:
-                        nxt = min(nxt, max(cycle, entry[0]))
-        return nxt
+        return tick, next_event
 
     def debug_state(self):
         if not self._read_txns and not self._write_txns and not self._sched:

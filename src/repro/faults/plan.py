@@ -13,7 +13,7 @@ Determinism strategy:
   never perturbs another site's draws;
 * draws happen per *event processed at the site* (a column read at the DRAM
   controller, an R beat routed through a NoC node, a response crossing the
-  MMIO frontend).  All three scheduling modes process identical event
+  MMIO frontend).  Both scheduling modes process identical event
   sequences at identical cycles, so the schedules are bit-identical;
 * core hang windows are drawn once at compile time as absolute cycles (and
   their fault events recorded then), so a hung core that is never ticked
@@ -166,7 +166,9 @@ class FaultPlan:
     def _maybe_install_hang(self, state: "FaultState", ecore) -> None:
         """Draw and (maybe) install one hang window on ``ecore``.
 
-        The wrapper suppresses ``tick`` during [start, end) and teaches
+        The wrapper is installed at the core's single behaviour hook,
+        :meth:`~repro.sim.Component.tick_program`, so both schedules run it:
+        it suppresses ``tick`` during [start, end) and teaches
         ``next_event`` to sleep to the hang end (or :data:`NEVER` for a
         permanent wedge), while never letting the core sleep *into* unfired
         pre-hang work.  Suppression depends only on the cycle number, so all
@@ -181,25 +183,28 @@ class FaultPlan:
         start = rng.randrange(max(self.core_hang_window, 1))
         end = start + self.core_hang_cycles if self.core_hang_cycles > 0 else None
         core = ecore.core
-        orig_tick = core.tick
-        orig_next = core.next_event
+        orig_program = core.tick_program
         state.inject(
             start, site, "core_hang",
             f"end={'never' if end is None else end}",
         )
 
-        def tick(cycle: int, _orig=orig_tick) -> None:
-            if cycle >= start and (end is None or cycle < end):
-                return  # wedged: commands and data pile up outside the core
-            _orig(cycle)
+        def tick_program():
+            orig_tick, orig_next = orig_program()
 
-        def next_event(cycle: int, _orig=orig_next):
-            if cycle >= start and (end is None or cycle < end):
-                return NEVER if end is None else float(end)
-            return _orig(cycle)
+            def tick(cycle: int) -> None:
+                if cycle >= start and (end is None or cycle < end):
+                    return  # wedged: commands and data pile up outside the core
+                orig_tick(cycle)
 
-        core.tick = tick
-        core.next_event = next_event
+            def next_event(cycle: int):
+                if cycle >= start and (end is None or cycle < end):
+                    return NEVER if end is None else float(end)
+                return NEVER if orig_next is None else orig_next(cycle)
+
+            return tick, next_event
+
+        core.tick_program = tick_program
 
 
 class FaultState:

@@ -67,7 +67,7 @@ class MemcpyCore(AcceleratorCore):
     def next_event(self, cycle: int) -> float:
         return NEVER  # purely reactive: command, data and done all arrive on channels
 
-    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
+    #: Constant-NEVER hint — lets the selective scheduler skip the hint call.
     wake_only = True
 
 

@@ -100,8 +100,8 @@ class Reader(Component):
         # Contention accounting (repro.obs.attribution): per-burst AR stall
         # attribution, computed retroactively at issue time from stamps that
         # are only updated by genuinely mutating ticks (so the counters stay
-        # bit-identical under every scheduling mode, including fast-forward
-        # jumps over quiescent windows).  ``_head_since`` is the cycle the
+        # bit-identical under both scheduling modes, including quiescent
+        # jumps).  ``_head_since`` is the cycle the
         # current head-of-pending burst became eligible for issue;
         # ``_inflight_ok_since``/``_buffer_ok_since`` are the cycles the
         # in-flight window and prefetch buffer last stopped being binding.
@@ -136,12 +136,6 @@ class Reader(Component):
         )
 
     # -- behaviour ------------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        self._accept_request(cycle)
-        self._issue_ar(cycle)
-        self._collect_beats(cycle)
-        self._deliver(cycle)
-
     def _accept_request(self, cycle: int) -> None:
         if not self.request.can_pop():
             return
@@ -272,9 +266,13 @@ class Reader(Component):
             return len(sub.received) >= sub.payload_bytes and sub.delivered < sub.payload_bytes
         return len(sub.received) >= end
 
-    def compile_tick(self):
-        """Specialised tick: the four phases with their entry guards inlined,
-        so an idle phase costs one comparison instead of a method call."""
+    def tick_program(self):
+        """Tick closure plus :meth:`next_event`.
+
+        A tick runs four phases in order — accept a request, issue an AR,
+        collect an R beat, deliver a chunk to the core — with each phase's
+        entry guard inlined, so an idle phase costs one comparison instead
+        of a method call."""
         request = self.request
         data = self.data
         port_ar = self.port.ar
@@ -301,7 +299,7 @@ class Reader(Component):
             ):
                 deliver(cycle)
 
-        return tick
+        return tick, self.next_event
 
     def next_event(self, cycle: int) -> float:
         """AR issue is self-scheduled (issue-gap FSM); everything else —

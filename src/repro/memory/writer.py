@@ -135,14 +135,6 @@ class Writer(Component):
         )
 
     # -- behaviour ----------------------------------------------------------
-    def tick(self, cycle: int) -> None:
-        self._accept_request()
-        self._accept_data(cycle)
-        self._issue_aw(cycle)
-        self._stream_w()
-        self._collect_b(cycle)
-        self._report_done()
-
     def _accept_request(self) -> None:
         if not self.request.can_pop() or len(self._requests) >= 2:
             return
@@ -282,9 +274,13 @@ class Writer(Component):
             self.done.push(True)
             self._requests.popleft()
 
-    def compile_tick(self):
-        """Specialised tick: the six phases with their entry guards inlined,
-        so an idle phase costs one comparison instead of a method call."""
+    def tick_program(self):
+        """Tick closure plus :meth:`next_event`.
+
+        A tick runs six phases in order — accept a request, accept core
+        data, issue an AW, stream W beats, collect a B response, report a
+        finished request — with each phase's entry guard inlined, so an
+        idle phase costs one comparison instead of a method call."""
         request = self.request
         done = self.done
         port_aw = self.port.aw
@@ -321,7 +317,7 @@ class Writer(Component):
             ):
                 report()
 
-        return tick
+        return tick, self.next_event
 
     def next_event(self, cycle: int) -> float:
         """AW issue is self-scheduled (issue-gap FSM); burst release from the

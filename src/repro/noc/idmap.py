@@ -17,7 +17,7 @@ from typing import Dict
 
 from repro.axi.types import ARReq, AWReq, AxiPort, BResp, RBeat
 from repro.noc.links import as_link
-from repro.sim import NEVER, Component, SimulationError
+from repro.sim import Component, SimulationError
 
 
 class IdCompressor(Component):
@@ -41,19 +41,17 @@ class IdCompressor(Component):
         users.add(wide_id)
         return narrow
 
-    def next_event(self, cycle: int) -> float:
-        return NEVER  # purely reactive: every action pops a channel item
-
-    #: Constant-NEVER hint — lets the compiled scheduler skip the hint call.
-    wake_only = True
-
     def wake_channels(self):
         # Forwards between the two port faces, neither of which it owns.
         return list(self.up.channels()) + list(self.down.port.channels())
 
-    def compile_tick(self):
-        """Specialised tick: the five forwarding lanes with endpoints bound
-        and the can-pop/can-push guards inlined."""
+    def tick_program(self):
+        """Tick closure over the five forwarding lanes; no hint, because the
+        compressor is purely reactive (every action pops a channel item).
+
+        AR/AW ids fold onto ``id % n_ids`` (reads record collisions); R/B
+        responses get their original wide id back by transaction tag.
+        """
         up = self.up
         down = self.down
         d = down.port
@@ -108,32 +106,4 @@ class IdCompressor(Component):
                     )
                 u_b.push(BResp(orig, resp.okay, resp.tag))
 
-        return tick
-
-    def tick(self, cycle: int) -> None:
-        if self.up.ar.can_pop() and self.down.port.ar.can_push():
-            req = self.up.ar.pop()
-            narrow = self._fold(req.axi_id, self._narrow_in_use)
-            self._read_orig[req.tag] = req.axi_id
-            self.down.push_ar(cycle, ARReq(narrow, req.addr, req.length, req.tag))
-        if self.up.aw.can_pop() and self.down.port.aw.can_push():
-            req = self.up.aw.pop()
-            narrow = req.axi_id % self.n_ids
-            self._write_orig[req.tag] = req.axi_id
-            self.down.push_aw(cycle, AWReq(narrow, req.addr, req.length, req.tag))
-        if self.up.w.can_pop() and self.down.port.w.can_push():
-            self.down.push_w(cycle, self.up.w.pop())
-        if self.down.port.r.can_pop() and self.up.r.can_push():
-            beat: RBeat = self.down.port.r.pop()
-            orig = self._read_orig.get(beat.tag)
-            if orig is None:
-                raise SimulationError(f"{self.name}: R beat with unknown tag {beat.tag}")
-            self.up.r.push(RBeat(orig, beat.data, beat.last, beat.tag, beat.err))
-            if beat.last:
-                del self._read_orig[beat.tag]
-        if self.down.port.b.can_pop() and self.up.b.can_push():
-            resp: BResp = self.down.port.b.pop()
-            orig = self._write_orig.pop(resp.tag, None)
-            if orig is None:
-                raise SimulationError(f"{self.name}: B resp with unknown tag {resp.tag}")
-            self.up.b.push(BResp(orig, resp.okay, resp.tag))
+        return tick, None

@@ -26,7 +26,7 @@ span, and the execute window is swept over *elementary intervals* (every
 burst phase boundary splits the timeline) with oldest-burst-wins arbitration,
 so ``sum(segments.values()) == root.duration`` holds for every command — the
 acceptance bar for the bottleneck tool.  All inputs (spans, monitor records,
-contention counters) are stable across the four scheduling modes, so
+contention counters) are stable across both scheduling modes, so
 attribution is scheduling-mode-identical; ``tests/test_fast_forward.py``
 proves this bit-for-bit.
 

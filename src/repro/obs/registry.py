@@ -24,7 +24,7 @@ signatures stay unchanged and a primitive used standalone (outside any
 simulator) simply keeps private metrics.
 
 Volatile metrics (skip accounting, wall-clock profiles) are flagged so the
-differential fast-forward-vs-naive harness can compare ``dump(stable_only=
+differential selective-vs-naive harness can compare ``dump(stable_only=
 True)`` bit-for-bit.
 """
 
@@ -317,8 +317,8 @@ class MetricRegistry:
         """Flat ``{path: value}`` snapshot, JSON-serialisable.
 
         ``stable_only`` drops volatile metrics (skip accounting, wall-clock
-        data), leaving exactly the set the differential fast-forward harness
-        proves bit-identical between naive and event-skipping runs.
+        data), leaving exactly the set the differential harness proves
+        bit-identical between naive and selective runs.
         """
         out: Dict[str, Any] = {}
         for name in self.names(prefix):

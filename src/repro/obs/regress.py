@@ -57,7 +57,8 @@ _LOWER_BETTER = (
     "mean_latency",
     "mean_queue_wait",
     "rejection_rate",
-    "sync_stall_cycles",
+    "barrier_wait_s",
+    "barrier_wait_frac",
     "checkpoint_write_seconds",
     "restore_seconds",
 )
@@ -88,7 +89,7 @@ def metric_direction(key: str) -> int:
     never reads as a latency) and are checked first, because some contain a
     higher-better fragment (``rejection_rate`` contains ``rate``).
     Higher-better fragments are then matched anywhere in the dotted path
-    (bench JSON nests e.g. ``speedup.compiled_vs_naive``).
+    (bench JSON nests e.g. ``speedup.selective_vs_naive``).
     """
     leaf = key.rsplit(".", 1)[-1]
     if leaf in _LOWER_BETTER:

@@ -245,8 +245,7 @@ class FpgaHandle:
             return
         cycles = int(n_bytes / host.dma_bytes_per_cycle) + 1
         self.dma_cycles_spent += cycles
-        for _ in range(cycles):
-            self.design.sim.step()
+        self.design.sim.run_slice(cycles)
 
     # ------------------------------------------------------------ processes
     def new_client(self, name: str = "") -> "ClientHandle":
@@ -504,10 +503,6 @@ class FpgaHandle:
     # ------------------------------------------------------------- sim plumbing
     def run_until(self, predicate, max_cycles: int = 10_000_000) -> int:
         return self.design.sim.run(max_cycles, until=predicate)
-
-    def run_cycles(self, n: int) -> None:
-        for _ in range(n):
-            self.design.sim.step()
 
     @property
     def cycle(self) -> int:

@@ -1,6 +1,5 @@
 """Cycle-level simulation kernel used by every Beethoven substrate model."""
 
-from repro.sim.compiled import CompiledProgram
 from repro.sim.kernel import (
     NEVER,
     SCHEDULING_MODES,
@@ -11,6 +10,7 @@ from repro.sim.kernel import (
     SimulationError,
     Simulator,
 )
+from repro.sim.selective import SelectiveProgram
 from repro.sim.trace import (
     NULL_TRACER,
     Span,
@@ -27,12 +27,12 @@ from repro.sim.trace import (
 
 __all__ = [
     "ChannelQueue",
-    "CompiledProgram",
     "Component",
     "DeadlockError",
     "NEVER",
     "PartitionSyncTimeout",
     "SCHEDULING_MODES",
+    "SelectiveProgram",
     "SimulationError",
     "Simulator",
     "Span",

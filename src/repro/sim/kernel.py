@@ -10,32 +10,28 @@ ticked, which is the property that lets us compose large systems without
 worrying about evaluation order (the same property latency-insensitive
 ready/valid design gives real hardware).
 
-Four scheduling modes are supported, all cycle- and statistic-identical:
+Each component contributes exactly one behaviour, the ``(tick, next_event)``
+pair returned by :meth:`Component.tick_program`, and two cycle- and
+statistic-identical schedules run it:
 
-* ``"naive"`` — tick every component and commit every channel each cycle.
-* ``"fast_forward"`` — naive stepping, plus whole-design jumps over windows
-  where every channel is empty and every component publishes a
-  :meth:`Component.next_event` hint.
-* ``"selective"`` — per-component event-driven scheduling: a component is
-  ticked only when one of its wake channels saw a push or pop, when its
-  ``next_event`` hint arrives, or when it requested a wake through
-  :meth:`Component.request_wake`.  Channel commits are sparse (only dirty
-  channels commit) with lazy occupancy crediting, so per-channel statistics
-  stay bit-identical to naive stepping.
-* ``"compiled"`` — the selective schedule driven by a compiled tick program
-  (:mod:`repro.sim.compiled`): at the first ``run()`` the component graph is
-  specialised into closures with channel endpoints pre-resolved, contiguous
-  always-co-woken chains are fused into single scheduling slots, and channel
-  commits drain through flat per-channel subscriber arrays.  Identical
-  cycles, channel statistics and stable metrics; only the wall clock and the
-  volatile tick accounting differ.
+* ``"naive"`` — the reference oracle: tick every component and commit every
+  channel each cycle.  It never consults ``next_event`` and never jumps.
+* ``"selective"`` — the event-driven backend (:mod:`repro.sim.selective`):
+  a component is ticked only when one of its wake channels saw a push or pop,
+  when its ``next_event`` hint matures, or when it asked through
+  :meth:`Component.request_wake`; only dirty channels commit, with lazy
+  occupancy crediting; contiguous components with identical wake sets are
+  fused into one scheduling slot; and the clock jumps over cycles in which
+  nothing is woken.
+
+Cycles, channel statistics and stable metrics are bit-identical between the
+two; only the wall clock and volatile tick/skip accounting differ.
 """
 
 from __future__ import annotations
 
 import time
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, Generic, Iterable, List, Optional, Set, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, Iterable, List, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -44,7 +40,7 @@ T = TypeVar("T")
 NEVER = float("inf")
 
 #: Valid ``Simulator(scheduling=...)`` values.
-SCHEDULING_MODES = ("naive", "fast_forward", "selective", "compiled")
+SCHEDULING_MODES = ("naive", "selective")
 
 
 class SimulationError(RuntimeError):
@@ -102,7 +98,7 @@ class ChannelQueue(Generic[T]):
 
     # Slotted: channels are the hottest objects in the kernel (every guard in
     # every tick probes one), and fixed-offset attribute access measurably
-    # beats dict lookup in both the selective and compiled hot loops.
+    # beats dict lookup in the tick bodies and the commit drain.
     __slots__ = (
         "capacity",
         "name",
@@ -133,15 +129,15 @@ class ChannelQueue(Generic[T]):
         self.occupancy_accum = 0
         self.cycles_observed = 0
         # Selective-scheduling hooks, installed by Simulator.register_channel:
-        # ``_sink`` is the simulator's dirty list (None outside selective and
-        # compiled modes), ``_dirty`` marks membership in it, and ``_anchor``
-        # is the registration offset that lets sparse commits credit elided
+        # ``_sink`` is the simulator's dirty list (None under naive
+        # scheduling), ``_dirty`` marks membership in it, and ``_anchor`` is
+        # the registration offset that lets sparse commits credit elided
         # observations lazily.
         self._sink: Optional[List["ChannelQueue[Any]"]] = None
         self._dirty = False
         self._anchor = 0
-        # Compiled-scheduling subscriber array, installed by CompiledProgram:
-        # the scheduling slots woken when this channel commits activity.
+        # Subscriber array, installed by SelectiveProgram: the scheduling
+        # slots woken when this channel commits activity.
         self._csubs: Tuple[int, ...] = ()
 
     # -- producer side ----------------------------------------------------
@@ -193,17 +189,6 @@ class ChannelQueue(Generic[T]):
             self._items.extend(self._staged)
             self._staged.clear()
 
-    def credit_idle_cycles(self, n: int) -> None:
-        """Account ``n`` elided commits during a fast-forward.
-
-        Skipped cycles carry no staged traffic, so each elided commit would
-        have observed the current occupancy unchanged; crediting them keeps
-        ``mean_occupancy`` (and every cycle-normalised statistic built on
-        ``cycles_observed``) exactly equal to a naively stepped run.
-        """
-        self.occupancy_accum += len(self._items) * n
-        self.cycles_observed += n
-
     def sync_observations(self, cycle: int) -> None:
         """Credit every observation elided since the last commit/sync.
 
@@ -248,21 +233,17 @@ class ChannelQueue(Generic[T]):
 class Component:
     """Base class for everything that acts on each clock edge."""
 
-    # Selective-scheduling bookkeeping, installed by Simulator.add; class
+    # Selective-scheduling bookkeeping, installed by SelectiveProgram; class
     # attributes so existing subclasses need no __init__ changes.
     _sched_index = -1
     _wake_hook: Optional[Callable[["Component"], None]] = None
-    _last_tick_cycle = -1
     _ticks_executed = 0
-    # Compiled-scheduling slot assignment, installed by CompiledProgram.
     _cslot = -1
 
     #: Declares ``next_event`` constant at :data:`NEVER`: the component only
-    #: ever progresses on channel traffic (pure dataflow elements such as NoC
-    #: buffer nodes).  The compiled backend then elides the post-tick hint
-    #: call entirely.  Honoured only while ``next_event`` is not shadowed on
-    #: the instance (fault injectors patch instance ``next_event`` to model
-    #: hangs, which re-enables hint evaluation).
+    #: ever progresses on channel traffic (pure dataflow elements such as the
+    #: MMIO frontend).  The default :meth:`tick_program` then reports no hint
+    #: at all, so the selective scheduler skips the post-tick hint call.
     wake_only = False
 
     def __init__(self, name: str = "") -> None:
@@ -278,17 +259,36 @@ class Component:
         if only channel traffic can wake it, or ``None`` (the safe default)
         for "tick me every cycle".
 
-        The contract backing event-skipping: when a component returns a hint
-        ``h``, ticking it at any cycle in ``[cycle, h)`` in which none of its
-        :meth:`wake_channels` saw a committed push or pop since its previous
-        tick must be a no-op (no pushes, no pops, no state or statistics
-        change).  This is a strictly stronger requirement than the original
-        fast-forward contract (which only demanded no-op-ness when *every*
-        channel was empty); all framework components satisfy it.  Components
-        whose ``tick`` mutates state unconditionally (countdowns, pipelines)
-        must either return ``None`` or keep their timing in absolute cycles.
+        The contract backing selective scheduling: when a component returns
+        a hint ``h``, ticking it at any cycle in ``[cycle, h)`` in which none
+        of its :meth:`wake_channels` saw a committed push or pop since its
+        previous tick must be a no-op (no pushes, no pops, no state or
+        statistics change).  A hint may be early (the extra ticks are no-ops)
+        but never late.  Components whose ``tick`` mutates state
+        unconditionally (countdowns, pipelines) must either return ``None``
+        or keep their timing in absolute cycles.
         """
         return None
+
+    def tick_program(
+        self,
+    ) -> Tuple[Callable[[int], None], Optional[Callable[[int], Optional[float]]]]:
+        """The ``(tick, next_event)`` callables both schedulers run.
+
+        This is the one behaviour of the component: ``naive`` calls ``tick``
+        every cycle, ``selective`` calls ``tick`` when woken and ``next_event``
+        after each tick.  A ``next_event`` of ``None`` means constant
+        :data:`NEVER` (wake on channel traffic only).  The default returns the
+        bound methods; hot models override this to return closures with their
+        channel endpoints, counters and constants captured as locals.
+
+        Called whenever the simulator (re)builds its tick program — on the
+        first ``run()`` and after components are added or a snapshot is
+        restored — so closures may capture model containers by identity.
+        Wrapping the returned pair is the single hook for altering a
+        component's behaviour (fault hang injection wraps it per instance).
+        """
+        return self.tick, (None if self.wake_only else self.next_event)
 
     def channels(self) -> Iterable[ChannelQueue[Any]]:
         """Channels owned by this component (auto-registered)."""
@@ -308,17 +308,10 @@ class Component:
         foreign channels (NoC nodes forwarding between ports, the command
         router pushing into adapters, cores driving Reader/Writer queues)
         must override this with the complete set; a superset is always safe
-        (spurious wakes cost time, never correctness).
-
-        The compiled backend uses the same membership rule (any committed
-        push or pop wakes every subscriber) — waking only on the "foreign"
-        edge is unsound, because a component that consumes one of several
-        pending items per tick relies on its *own* activity re-waking it to
-        drain the rest.  Components may also define ``compile_tick()``
-        returning a decision-identical specialised closure ``fn(cycle)`` (or
-        ``None`` to decline); the compiled backend prefers it over the plain
-        bound ``tick`` unless the instance's ``tick`` has been patched
-        (fault hang injection).
+        (spurious wakes cost time, never correctness).  Waking only on the
+        "foreign" edge (pushes for inputs, pops for outputs) is unsound: a
+        component that consumes one of several pending items per tick relies
+        on its *own* activity re-waking it to drain the rest.
         """
         return self.channels()
 
@@ -387,32 +380,23 @@ class Component:
 
 
 class Simulator:
-    """Owns the clock; ticks components and commits channels each cycle.
+    """Owns the clock; ticks components and commits channels.
 
-    ``scheduling`` selects one of four cycle-identical schedules:
-
-    * ``"naive"`` ticks everything every cycle;
-    * ``"fast_forward"`` (the legacy ``fast_forward=True``) adds whole-design
-      jumps over globally quiescent windows;
-    * ``"selective"`` runs the per-component event-driven scheduler: each
-      cycle only the components woken by dirty channels, matured
-      ``next_event`` hints, or explicit :meth:`Component.request_wake` calls
-      are ticked, and only dirty channels commit (with lazy occupancy
-      crediting so every statistic matches naive stepping exactly);
-    * ``"compiled"`` executes the same schedule through a tick program
-      compiled at the first ``run()`` (see :mod:`repro.sim.compiled`):
-      specialised per-component closures, fused contiguous co-woken chains,
-      push/pop-split channel subscriptions, and an inlined commit drain.
+    ``scheduling`` selects one of the two cycle-identical schedules (see the
+    module docstring): ``"naive"`` (the default) ticks everything every
+    cycle, ``"selective"`` runs the event-driven program built by
+    :class:`repro.sim.selective.SelectiveProgram`.  Every clock advance —
+    :meth:`run`, :meth:`run_slice` and :meth:`step` — goes through the chosen
+    schedule.
 
     A component returning ``None`` from :meth:`Component.next_event` (the
-    default) is ticked every cycle under every schedule, so unhinted user
+    default) is ticked every cycle under both schedules, so unhinted user
     cores are always safe.
     """
 
     def __init__(
         self,
         name: str = "sim",
-        fast_forward: bool = False,
         tracer: Optional["Tracer"] = None,
         registry=None,
         profile: bool = False,
@@ -421,7 +405,7 @@ class Simulator:
         from repro.obs.registry import MetricRegistry  # lazy: avoid import cycle
 
         if scheduling is None:
-            scheduling = "fast_forward" if fast_forward else "naive"
+            scheduling = "naive"
         if scheduling not in SCHEDULING_MODES:
             raise ValueError(
                 f"unknown scheduling mode {scheduling!r}; pick one of {SCHEDULING_MODES}"
@@ -429,29 +413,20 @@ class Simulator:
         self.name = name
         self.cycle = 0
         self.scheduling = scheduling
-        self.fast_forward = scheduling == "fast_forward"
         self.tracer = tracer
         self._components: List[Component] = []
         self._channels: List[ChannelQueue[Any]] = []
         self._channel_ids = set()
-        self._quiescent = False
-        # Skip accounting, surfaced by :func:`repro.sim.trace.skip_summary`.
+        # Quiescent-jump accounting, surfaced by
+        # :func:`repro.sim.trace.skip_summary` (always zero under naive).
         self.cycles_skipped = 0
         self.skip_events = 0
-        # Selective-scheduler state.  The compiled backend reuses the dirty
-        # list, lazy anchors and per-component tick accounting, so every
-        # ``_selective`` guard below covers both modes; only run() dispatch
-        # distinguishes them.
-        self._selective = scheduling in ("selective", "compiled")
-        self._compiled = scheduling == "compiled"
-        self._program = None  # CompiledProgram, built lazily at run()
+        self._selective = scheduling == "selective"
+        # The tick program, built from every component's tick_program() at
+        # run() entry and dropped whenever a component or channel joins:
+        # a list of tick callables under naive, a SelectiveProgram otherwise.
+        self._program: Any = None
         self._dirty_channels: List[ChannelQueue[Any]] = []
-        self._subs: Dict[int, List[int]] = {}
-        self._subs_stale = True
-        self._wake_heap: List[Tuple[int, int]] = []
-        self._woken: Set[int] = set()
-        self._ready: Optional[List[int]] = None  # heap of indices, mid-cycle only
-        self._current_idx = -1
         # Unified metrics: every added component/channel is adopted here.
         self.registry = registry if registry is not None else MetricRegistry()
         self._bind_own_metrics()
@@ -473,7 +448,7 @@ class Simulator:
         if self.tracer is not None:
             tracer = self.tracer
             tscope = self.registry.scope("trace")
-            # Event counts are volatile: fast-forward jumps log a trace event
+            # Event counts are volatile: quiescent jumps log a trace event
             # per skip, so they legitimately differ from a naive run.
             tscope.bind("events", lambda: len(tracer.events), volatile=True)
             tscope.bind("spans", lambda: len(getattr(tracer, "span_log", ())))
@@ -484,7 +459,7 @@ class Simulator:
 
     def add(self, component: Component) -> Component:
         self._components.append(component)
-        self._subs_stale = True
+        self.invalidate_program()
         for chan in component.channels():
             self.register_channel(chan)
         scope = self.registry.scope(component.metric_path)
@@ -506,7 +481,7 @@ class Simulator:
         if id(chan) not in self._channel_ids:
             self._channel_ids.add(id(chan))
             self._channels.append(chan)
-            self._subs_stale = True
+            self.invalidate_program()
             if self._selective:
                 chan._sink = self._dirty_channels
                 # Anchor so that a fully synced channel always satisfies
@@ -518,92 +493,38 @@ class Simulator:
             )
         return chan
 
+    def invalidate_program(self) -> None:
+        """Drop the tick program; the next ``run()`` rebuilds it.
+
+        Called when the component graph changes and before a snapshot
+        restore, so closures returned by :meth:`Component.tick_program` are
+        always rebuilt over the live model state.
+        """
+        program = self._program
+        if program is not None:
+            if self._selective:
+                program.invalidate()
+            self._program = None
+
     def component_ticks(self, component: Component) -> int:
         """Cycles in which ``component.tick`` actually ran.
 
         Exact per-component counts are maintained by the selective scheduler;
-        under naive/fast-forward schedules every stepped cycle ticks every
-        component, so the count is derived.
+        under naive scheduling every cycle ticks every component, so the
+        count is derived.
         """
         if self._selective:
             return component._ticks_executed
-        return self.cycle - self.cycles_skipped
+        return self.cycle
 
     # -- stepping ------------------------------------------------------------
     def step(self) -> None:
-        """Advance exactly one cycle, ticking everything (naive semantics).
+        """Advance exactly one cycle through the chosen schedule.
 
-        All three scheduling modes share these step semantics so callers may
-        freely interleave ``step()`` with ``run()``; under selective
-        scheduling the next ``run()`` re-wakes every component, and the
-        commit sweep first credits any lazily deferred channel observations.
+        The first cycle of every selective run wakes every component, so a
+        step is a tick-everything cycle under both schedules.
         """
-        if self.profile_enabled:
-            return self._step_profiled()
-        cycle = self.cycle
-        selective = self._selective
-        for component in self._components:
-            component.tick(cycle)
-            if selective:
-                component._ticks_executed += 1
-                component._last_tick_cycle = cycle
-        quiescent = True
-        for chan in self._channels:
-            if selective:
-                chan.sync_observations(cycle)
-                chan._dirty = False
-            chan.commit()
-            if chan._items:
-                quiescent = False
-        if selective:
-            self._dirty_channels.clear()
-        self._quiescent = quiescent
-        self.cycle = cycle + 1
-
-    def _step_profiled(self) -> None:
-        """One cycle with per-component wall-clock attribution.
-
-        Self-time only: each component's tick is timed individually, and the
-        channel-commit sweep is booked under ``(kernel)/commit`` so simulator
-        overhead is distinguishable from model cost.
-        """
-        profile = self.tick_profile
-        clock = time.perf_counter_ns
-        cycle = self.cycle
-        selective = self._selective
-        for component in self._components:
-            t0 = clock()
-            component.tick(cycle)
-            dt = clock() - t0
-            if selective:
-                component._ticks_executed += 1
-                component._last_tick_cycle = cycle
-            entry = profile.get(component.name)
-            if entry is None:
-                profile[component.name] = [dt, 1]
-            else:
-                entry[0] += dt
-                entry[1] += 1
-        t0 = clock()
-        quiescent = True
-        for chan in self._channels:
-            if selective:
-                chan.sync_observations(cycle)
-                chan._dirty = False
-            chan.commit()
-            if chan._items:
-                quiescent = False
-        if selective:
-            self._dirty_channels.clear()
-        dt = clock() - t0
-        entry = profile.get("(kernel)/commit")
-        if entry is None:
-            profile["(kernel)/commit"] = [dt, 1]
-        else:
-            entry[0] += dt
-            entry[1] += 1
-        self._quiescent = quiescent
-        self.cycle = cycle + 1
+        self.run(1)
 
     def run(
         self,
@@ -612,221 +533,85 @@ class Simulator:
     ) -> int:
         """Run until ``until()`` is true (checked between cycles) or the cycle
         budget is exhausted.  Returns the cycle count reached.  Raises
-        :class:`SimulationError` when the budget runs out while a predicate is
+        :class:`DeadlockError` when the budget runs out while a predicate is
         pending, because that almost always means the model deadlocked.
 
-        Under the skipping schedules (fast-forward and selective), ``until``
-        must be a function of model state (channel/component contents), not of
-        the raw cycle counter: skipped cycles are exactly the ones in which no
-        model state changes, so a state predicate is evaluated at every cycle
-        where its value could flip — but a predicate on ``sim.cycle`` itself
-        could fire inside a skipped window and be missed.
-
-        The predicate is evaluated exactly once per advanced cycle (the
-        result is cached for the cycle, so predicate-heavy runs are not
-        charged twice for the fast-forward guard's re-check).
+        Under selective scheduling ``until`` must be a function of model
+        state (channel/component contents), not of the raw cycle counter:
+        skipped cycles are exactly the ones in which no model state changes,
+        so a state predicate is evaluated at every cycle where its value
+        could flip — but a predicate on ``sim.cycle`` itself could fire
+        inside a skipped window and be missed.  The predicate is evaluated
+        exactly once per advanced cycle.
         """
         deadline = self.cycle + max_cycles
-        if self._compiled:
-            return self._run_compiled(deadline, max_cycles, until)
         if self._selective:
-            return self._run_selective(deadline, max_cycles, until)
-        pred = bool(until()) if until is not None else False
-        while self.cycle < deadline:
-            if pred:
-                return self.cycle
-            self.step()
-            pred = bool(until()) if until is not None else False
-            if (
-                self.fast_forward
-                and self._quiescent
-                and self.cycle < deadline
-                # Never skip once the predicate holds: the caller must observe
-                # the first satisfying cycle, not some later wake-up.
-                and not pred
-            ):
-                self._try_fast_forward(deadline, to_deadline_ok=until is None)
-        if until is not None and not pred:
-            self._raise_deadlock(max_cycles)
-        return self.cycle
+            program = self._program
+            if program is None:
+                from repro.sim.selective import SelectiveProgram  # lazy: avoid cycle
+
+                program = self._program = SelectiveProgram(self)
+            return program.run(deadline, max_cycles, until)
+        return self._run_naive(deadline, max_cycles, until)
 
     def run_slice(self, n_cycles: int) -> int:
         """Advance exactly ``n_cycles`` cycles with no completion predicate.
 
-        The distributed engine's unit of execution: a partition runs one
-        lookahead slice between barriers, with any externally-injected bridge
-        traffic already sitting in its ingress delay lines.  Semantically just
-        ``run(n_cycles, until=None)`` — which can never raise
-        :class:`DeadlockError` — but named so call sites read as slice-bounded
-        execution rather than budgeted completion waits.
+        The unit of execution for clock advances that wait on nothing: a
+        distributed partition's lookahead slice between barriers, or the
+        host's DMA set-up time.  Semantically just ``run(n_cycles,
+        until=None)`` — which can never raise :class:`DeadlockError` — but
+        named so call sites read as slice-bounded execution rather than
+        budgeted completion waits.
         """
         if n_cycles <= 0:
             return self.cycle
         return self.run(n_cycles, until=None)
 
-    # -- selective scheduling -------------------------------------------------
-    def _prepare_selective(self) -> None:
-        """Refresh subscriptions and wake state at ``run()`` entry.
-
-        Anything may have mutated between run calls — the host submitted
-        commands, a test pushed into a registered port, ``step()`` was used
-        directly — so every component is woken for the first cycle (which is
-        exactly a naive tick-everything cycle) and channels carrying staged
-        traffic from before their registration are adopted into the dirty
-        list.
-        """
-        if self._subs_stale:
-            subs: Dict[int, List[int]] = {}
-            for idx, comp in enumerate(self._components):
-                comp._sched_index = idx
-                comp._wake_hook = self._request_wake
-                for chan in comp.wake_channels():
-                    subs.setdefault(id(chan), []).append(idx)
-            self._subs = subs
-            self._subs_stale = False
-        self._woken.update(range(len(self._components)))
-        dirty = self._dirty_channels
-        for chan in self._channels:
-            if not chan._dirty and (chan._staged or chan._pop_count):
-                chan._dirty = True
-                dirty.append(chan)
-
-    def _request_wake(self, component: Component) -> None:
-        """Wake ``component`` at the earliest cycle that matches naive order.
-
-        Called mid-tick-loop (via :meth:`Component.request_wake`) when
-        component A mutates B's non-channel state: if B is later in
-        registration order and has not ticked this cycle it is injected into
-        the current cycle's ready heap (naive would tick it after A this very
-        cycle); otherwise it is woken for the next cycle (naive ticked it
-        before A, necessarily as a no-op on the pre-mutation state).
-        """
-        idx = component._sched_index
-        if idx < 0:
-            return
-        ready = self._ready
-        if (
-            ready is not None
-            and idx > self._current_idx
-            and component._last_tick_cycle != self.cycle
-        ):
-            heappush(ready, idx)
-        else:
-            self._woken.add(idx)
-
-    def _run_selective(
+    def _run_naive(
         self, deadline: int, max_cycles: int, until: Optional[Callable[[], bool]]
     ) -> int:
-        self._prepare_selective()
-        components = self._components
-        subs = self._subs
-        wake_heap = self._wake_heap
-        woken = self._woken
-        dirty = self._dirty_channels
-        tracer = self.tracer
-        profile = self.profile_enabled
-        tick_profile = self.tick_profile
-        clock = time.perf_counter_ns
+        channels = self._channels
         pred = bool(until()) if until is not None else False
         while self.cycle < deadline:
             if pred:
                 break
+            ticks = self._program
+            if ticks is None:
+                ticks = self._program = [
+                    comp.tick_program()[0] for comp in self._components
+                ]
             cycle = self.cycle
-            while wake_heap and wake_heap[0][0] <= cycle:
-                woken.add(heappop(wake_heap)[1])
-            if not woken:
-                # Nothing can act before the earliest scheduled wake: the
-                # model state is provably frozen, so jump (the predicate's
-                # value is frozen with it).
-                target = wake_heap[0][0] if wake_heap else deadline
-                if target > deadline:
-                    target = deadline
-                skipped = target - cycle
-                self.cycles_skipped += skipped
-                self.skip_events += 1
-                if tracer is not None:
-                    tracer.record(cycle, "sim", "fast_forward", skipped)
-                self.cycle = target
-                continue
-            ready = list(woken)
-            heapify(ready)
-            woken.clear()
-            self._ready = ready
-            while ready:
-                idx = heappop(ready)
-                comp = components[idx]
-                if comp._last_tick_cycle == cycle:
-                    continue  # duplicate wake this cycle
-                comp._last_tick_cycle = cycle
-                self._current_idx = idx
-                if profile:
-                    t0 = clock()
-                    comp.tick(cycle)
-                    dt = clock() - t0
-                    entry = tick_profile.get(comp.name)
-                    if entry is None:
-                        tick_profile[comp.name] = [dt, 1]
-                    else:
-                        entry[0] += dt
-                        entry[1] += 1
-                else:
-                    comp.tick(cycle)
-                comp._ticks_executed += 1
-                hint = comp.next_event(cycle + 1)
-                if hint is None or hint <= cycle + 1:
-                    woken.add(idx)
-                elif hint != NEVER:
-                    heappush(wake_heap, (int(hint), idx))
-            self._ready = None
-            self._current_idx = -1
-            if dirty:
-                if profile:
-                    t0 = clock()
-                for chan in dirty:
-                    chan.sync_observations(cycle)
+            if self.profile_enabled:
+                self._naive_cycle_profiled(ticks, cycle)
+            else:
+                for tick in ticks:
+                    tick(cycle)
+                for chan in channels:
                     chan.commit()
-                    chan._dirty = False
-                    for cidx in subs.get(id(chan), ()):
-                        woken.add(cidx)
-                dirty.clear()
-                if profile:
-                    dt = clock() - t0
-                    entry = tick_profile.get("(kernel)/commit")
-                    if entry is None:
-                        tick_profile["(kernel)/commit"] = [dt, 1]
-                    else:
-                        entry[0] += dt
-                        entry[1] += 1
             self.cycle = cycle + 1
             pred = bool(until()) if until is not None else False
-        # Bring every channel's lazily deferred observation statistics up to
-        # the final cycle before anyone reads them.
-        self._sync_channel_stats()
-        if self.cycle >= deadline and until is not None and not pred:
+        if until is not None and not pred:
             self._raise_deadlock(max_cycles)
         return self.cycle
 
-    # -- compiled scheduling ---------------------------------------------------
-    def _run_compiled(
-        self, deadline: int, max_cycles: int, until: Optional[Callable[[], bool]]
-    ) -> int:
-        """Run through the compiled tick program, (re)building it if stale.
+    def _naive_cycle_profiled(self, ticks: List[Callable[[int], None]], cycle: int) -> None:
+        """One naive cycle with per-component wall-clock attribution.
 
-        The program is compiled lazily at the first ``run()`` and recompiled
-        whenever a component or channel was added since (``_subs_stale``), so
-        late additions such as the runtime server joining after elaboration
-        are picked up exactly like the selective scheduler's subscription
-        rebuild.
+        Self-time only: each component's tick is timed individually, and the
+        channel-commit sweep is booked under ``(kernel)/commit`` so simulator
+        overhead is distinguishable from model cost.
         """
-        from repro.sim.compiled import CompiledProgram  # lazy: avoid cycle
-
-        program = self._program
-        if program is None or self._subs_stale:
-            if program is not None:
-                program.invalidate()
-            program = self._program = CompiledProgram(self)
-            self._subs_stale = False
-        return program.run(deadline, max_cycles, until)
+        profile = self.tick_profile
+        clock = time.perf_counter_ns
+        for component, tick in zip(self._components, ticks):
+            t0 = clock()
+            tick(cycle)
+            _book(profile, component.name, clock() - t0)
+        t0 = clock()
+        for chan in self._channels:
+            chan.commit()
+        _book(profile, "(kernel)/commit", clock() - t0)
 
     def _sync_channel_stats(self) -> None:
         cycle = self.cycle
@@ -869,15 +654,8 @@ class Simulator:
             "channels": channels,
             "components": components,
         }
-        if self._compiled:
-            program = self._program
-            if program is not None:
-                dump["wake_heap"], dump["woken"] = program.wake_dump()
-        elif self._selective:
-            dump["wake_heap"] = sorted(
-                (cyc, self._components[idx].name) for cyc, idx in self._wake_heap
-            )
-            dump["woken"] = sorted(self._components[idx].name for idx in self._woken)
+        if self._selective and self._program is not None:
+            dump["wake_heap"], dump["woken"] = self._program.wake_dump()
         return dump
 
     def _raise_deadlock(self, max_cycles: int) -> None:
@@ -893,47 +671,12 @@ class Simulator:
             dump,
         )
 
-    # -- event skipping -----------------------------------------------------
-    def _try_fast_forward(self, deadline: int, to_deadline_ok: bool) -> None:
-        """Jump to the earliest pending component event, if one is provable."""
-        if self.profile_enabled:
-            t0 = time.perf_counter_ns()
-            try:
-                return self._fast_forward_inner(deadline, to_deadline_ok)
-            finally:
-                dt = time.perf_counter_ns() - t0
-                entry = self.tick_profile.get("(kernel)/fast_forward")
-                if entry is None:
-                    self.tick_profile["(kernel)/fast_forward"] = [dt, 1]
-                else:
-                    entry[0] += dt
-                    entry[1] += 1
-        return self._fast_forward_inner(deadline, to_deadline_ok)
 
-    def _fast_forward_inner(self, deadline: int, to_deadline_ok: bool) -> None:
-        target = NEVER
-        for component in self._components:
-            hint = component.next_event(self.cycle)
-            if hint is None:
-                return  # unhinted component: must tick every cycle
-            if hint < target:
-                target = hint
-        if target == NEVER:
-            # Nothing self-scheduled anywhere.  With no predicate pending the
-            # remaining cycles are provably dead, so jump to the deadline;
-            # with a predicate we keep naive stepping (the budget-exhausted
-            # error path must observe the same cycles it would naively).
-            if not to_deadline_ok:
-                return
-            target = deadline
-        target = min(int(target), deadline)
-        if target <= self.cycle:
-            return
-        skipped = target - self.cycle
-        for chan in self._channels:
-            chan.credit_idle_cycles(skipped)
-        self.cycles_skipped += skipped
-        self.skip_events += 1
-        if self.tracer is not None:
-            self.tracer.record(self.cycle, "sim", "fast_forward", skipped)
-        self.cycle = target
+def _book(profile: Dict[str, List[float]], label: str, dt: int) -> None:
+    """Add one ``dt``-nanosecond sample to ``profile[label]``."""
+    entry = profile.get(label)
+    if entry is None:
+        profile[label] = [dt, 1]
+    else:
+        entry[0] += dt
+        entry[1] += 1

@@ -172,8 +172,8 @@ def skip_summary(sim) -> Dict[str, float]:
 
     ``cycles_total`` counts simulated time, ``cycles_stepped`` the cycles the
     kernel actually ticked; their ratio is the upper bound on the wall-clock
-    speedup event-skipping bought.  All counters are exact regardless of
-    whether fast-forward was enabled (they are simply zero when it was not).
+    speedup event-skipping bought.  All counters are exact under both
+    schedules (they are simply zero under naive scheduling).
     """
     stepped = sim.cycle - sim.cycles_skipped
     return {
@@ -310,7 +310,7 @@ def wake_summary(sim) -> Dict[str, Dict[str, float]]:
     ran), ``ticks_elided`` (cycles the scheduler proved it a no-op and
     skipped it) and ``tick_fraction`` (executed / simulated cycles).  Under
     the selective schedule the counts are exact per component; under
-    naive/fast-forward every component shares the stepped-cycle count.  The
+    naive every component shares the simulated-cycle count.  The
     dict is keyed by component name in registration order — feed it to
     :func:`render_wake_report` for the human version.
     """

@@ -1,16 +1,16 @@
 """Exact freeze/thaw of live simulation state (the ``repro.snapshot`` core).
 
 A snapshot is *state*, never *structure*: the object graph of a design
-(components, channels, registry bindings, compiled tick programs, fault
-hooks) is rebuilt deterministically by re-elaborating the same config, and
-the snapshot then overwrites every mutable field so that ``restore(snap);
+(components, channels, registry bindings, tick programs, fault hooks) is
+rebuilt deterministically by re-elaborating the same config, and the
+snapshot then overwrites every mutable field so that ``restore(snap);
 run(N)`` is bit-identical — cycles, stable metric dumps, fault fingerprints
-— to the uninterrupted run under all four scheduling backends.
+— to the uninterrupted run under both scheduling modes.
 
 Why not pickle the :class:`~repro.sim.Simulator` wholesale?  The live graph
 is full of unpicklables that are *structural*: registry ``BoundMetric``
-lambdas closing over model containers, compiled-backend closures, fault
-hooks patched over instance ``tick`` methods, host response callbacks.  The
+lambdas closing over model containers, tick-program closures, fault hooks
+wrapped around instance ``tick_program`` methods, host response callbacks.  The
 freezer therefore walks the graph and replaces
 
 * infrastructure objects (components, channels, the simulator, registry,
@@ -50,7 +50,7 @@ from repro.obs.registry import BoundMetric, Counter, Gauge, Histogram
 #: snapshot's version participates in farm checkpoint fingerprints, so a
 #: version bump silently invalidates stale checkpoint files instead of
 #: restoring garbage into a newer model.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(RuntimeError):
@@ -616,11 +616,11 @@ def _register_sim_infra_th(th: Thawer, sim: Any) -> None:
 
 def capture_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
     """Freeze one :class:`~repro.sim.Simulator`'s complete mutable state."""
-    if getattr(sim, "_ready", None) is not None:
+    program = sim._program
+    if getattr(program, "_ready", None) is not None:
         raise SnapshotError("cannot snapshot mid-cycle; capture between run()/step() calls")
     if sim._selective:
         sim._sync_channel_stats()
-    chan_index = {id(ch): i for i, ch in enumerate(sim._channels)}
     channels = []
     for ch in sim._channels:
         channels.append(
@@ -638,11 +638,10 @@ def capture_sim_state(sim: Any, fr: Freezer) -> Dict[str, Any]:
     components = [
         {"name": comp.name, "state": comp.snapshot_state(fr)} for comp in sim._components
     ]
+    # Wake state is not captured: every run() entry wakes every component
+    # (a naive tick-everything cycle) and adopts channels with staged
+    # traffic, so the restored run rebuilds it exactly.
     sched = {
-        "wake_heap": [tuple(entry) for entry in sim._wake_heap],
-        "woken": sorted(sim._woken),
-        "dirty": [chan_index[id(ch)] for ch in sim._dirty_channels],
-        "quiescent": sim._quiescent,
         "cycles_skipped": sim.cycles_skipped,
         "skip_events": sim.skip_events,
     }
@@ -680,13 +679,11 @@ def pair_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
 
 
 def apply_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
-    # Discard any compiled tick program *before* touching component state:
-    # invalidate() flushes per-slot tick counts into the components, which
-    # must not land on top of restored counters.  The next run() recompiles.
-    if sim._program is not None:
-        sim._program.invalidate()
-        sim._program = None
-    sim._subs_stale = True
+    # Discard the tick program *before* touching component state:
+    # invalidation flushes per-slot tick counts into the components, which
+    # must not land on top of restored counters.  The next run() rebuilds
+    # it, so tick-program closures capture the restored containers.
+    sim.invalidate_program()
     for comp, st in zip(sim._components, state["components"]):
         comp.restore_state(st["state"], th)
     for ch, st in zip(sim._channels, state["channels"]):
@@ -704,14 +701,7 @@ def apply_sim_state(sim: Any, state: Dict[str, Any], th: Thawer) -> None:
     sim.cycle = state["cycle"]
     sim.cycles_skipped = sched["cycles_skipped"]
     sim.skip_events = sched["skip_events"]
-    sim._quiescent = sched["quiescent"]
-    sim._woken = set(sched["woken"])
-    sim._wake_heap = [tuple(entry) for entry in sched["wake_heap"]]
     del sim._dirty_channels[:]
-    for idx in sched["dirty"]:
-        ch = sim._channels[idx]
-        ch._dirty = True
-        sim._dirty_channels.append(ch)
     if sim._selective:
         for ch in sim._channels:
             # Re-anchor lazy occupancy crediting at the restored cycle, the

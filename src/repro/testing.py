@@ -43,16 +43,13 @@ def build_memory_testbench(
     controller_params: Optional[AxiParams] = None,
     child_id_bits: Optional[int] = None,
     tracer: Optional[Tracer] = None,
-    fast_forward: bool = True,
     profile: bool = False,
     scheduling: Optional[str] = None,
 ) -> MemoryTestbench:
     """Wire ``master_ports`` through a tree network to a DRAM controller.
 
-    ``scheduling`` picks the kernel schedule ("naive", "fast_forward",
-    "selective" or "compiled"); by default the testbench runs the selective
-    per-component scheduler (cycle-exact), or naive stepping when
-    ``fast_forward=False``.
+    ``scheduling`` picks the kernel schedule ("naive" or "selective"); by
+    default the testbench runs the selective scheduler (cycle-exact).
     Driving the master ports directly between ``run`` calls is safe under
     every schedule: each run entry re-wakes all components and adopts any
     staged pushes/pops.  ``profile`` enables the per-component wall-clock
@@ -66,7 +63,7 @@ def build_memory_testbench(
     controller = MemoryController(mport, timing)
 
     if scheduling is None:
-        scheduling = "selective" if fast_forward else "naive"
+        scheduling = "selective"
     sim = Simulator(tracer=tracer, profile=profile, scheduling=scheduling)
     sim.add(controller)
     sim.add(monitor)

@@ -1,7 +1,7 @@
 """Tests for the cycle-attribution layer (repro.obs.attribution) and its
 satellites: segment decomposition on hand-built span trees, contention
 rollups, bench-history regression checks, histogram percentiles, trace
-truncation warnings, and the profiled-compiled fusion rule."""
+truncation warnings, and the profiled-selective fusion rule."""
 
 import json
 
@@ -335,13 +335,13 @@ def test_chrome_trace_quiet_without_drops(recwarn):
 
 
 # ---------------------------------------------------------------------------
-# Profiled compiled runs keep per-component attribution (satellite 1).
+# Profiled selective runs keep per-component attribution.
 # ---------------------------------------------------------------------------
 
 
 class _FusableRelay:
     """Minimal relay stage whose wake signature is the whole chain's channel
-    set, making consecutive stages fusable under the compiled backend."""
+    set, making consecutive stages fusable under selective scheduling."""
 
     def __new__(cls, name, inp, out, all_links):
         from repro.sim import Component
@@ -376,7 +376,7 @@ class _FusableRelay:
 def _relay_chain(profile):
     from repro.sim import ChannelQueue, Simulator
 
-    sim = Simulator(scheduling="compiled", profile=profile)
+    sim = Simulator(scheduling="selective", profile=profile)
     links = [ChannelQueue(2, f"l{i}") for i in range(5)]
     for i in range(4):
         sim.add(_FusableRelay(f"s{i}", links[i], links[i + 1], links))
@@ -413,12 +413,16 @@ def test_compiled_profile_has_no_fused_slots():
 def test_flatten_and_direction_classifier():
     flat = flatten_numeric({"a": {"b": 2, "ok": True}, "c": 1.5, "s": "x"})
     assert flat == {"a.b": 2.0, "c": 1.5}
-    assert metric_direction("cases.dense.speedup.compiled_vs_naive") == 1
+    assert metric_direction("cases.dense.speedup.selective_vs_naive") == 1
     assert metric_direction("modes.naive.cycles_per_second") == 1
     assert metric_direction("modes.naive.wall_seconds") == -1
     assert metric_direction("modes.naive.cycles") == -1
     assert metric_direction("cases.dense.size_bytes") == 0
     assert metric_direction("n_cores") == 0
+    # Dist barrier wait is host time, reported in seconds and as a share of
+    # wall; both are lower-better.
+    assert metric_direction("runs.0.barrier_wait_s") == -1
+    assert metric_direction("runs.0.barrier_wait_frac") == -1
 
 
 def _write_bench(tmp_path, name, wall, speedup):

@@ -195,7 +195,7 @@ def _drive(sim_run, latency=4, total=160, seed=11, scheduling=None):
     return sink.log, sim.cycle
 
 
-@pytest.mark.parametrize("scheduling", ["naive", "selective", "compiled"])
+@pytest.mark.parametrize("scheduling", ["naive", "selective"])
 def test_sliced_runs_compose_bit_identically(scheduling):
     """Property: any slicing of run(N) into run(n) segments is bit-identical.
 

@@ -24,7 +24,7 @@ from repro.faults.chaos import (
     run_empty_plan_differential,
 )
 
-#: 36 seeds x 4 scenarios x 4 modes = 576 seeded schedules (the acceptance
+#: 36 seeds x 4 scenarios x 2 modes = 288 seeded schedules (the acceptance
 #: floor is 200).
 N_SEEDS = 36
 

@@ -1,16 +1,14 @@
-"""Property and unit tests for the compiled tick-program backend.
+"""Property and unit tests for the compiled tick program behind selective
+scheduling (:class:`repro.sim.selective.SelectiveProgram`).
 
-Three layers of evidence that ``scheduling="compiled"`` executes the same
-schedule as selective (and therefore naive):
+Three layers of evidence that the program executes the naive schedule:
 
-* **Randomised relay pipelines** — seeded topologies, burst schedules and
-  backpressure stalls, run to completion and compared log-for-log (every
-  event carries its cycle) and channel-statistic-for-statistic, both in one
-  shot and in lockstep chunks.
-* **Closure specialisation units** — ``compile_tick``/``compile_hint``
-  selection, including the instance-patch escape hatches (fault injection
-  replaces ``tick``/``next_event`` on instances; the compiled program must
-  honour the patches, not the class specialisations).
+* **Randomised relay pipelines in lockstep** — seeded topologies, burst
+  schedules and backpressure stalls, stepped in odd-sized chunks under both
+  schedules and compared log-for-log (every event carries its cycle) and
+  channel-statistic-for-statistic at every chunk boundary.
+* **Tick-program units** — the default :meth:`Component.tick_program`
+  elides the hint of ``wake_only`` components.
 * **Chain fusion units** — components with identical wake signatures fuse
   into one slot; the fused program must produce the *same channel-commit
   order* as the unfused one (checked by recording the dirty-list append
@@ -18,18 +16,17 @@ schedule as selective (and therefore naive):
 
 Plus the ``request_wake`` escape hatch: non-channel coupling (a foreign
 component poking a shared :class:`repro.memory.scratchpad.Memory`) must
-re-wake the clocking component under compiled exactly as under naive.
+re-wake the clocking component under selective exactly as under naive.
 """
 
 import random
 
 import pytest
 
-import repro.sim.compiled as compiled_mod
+import repro.sim.selective as selective_mod
 from repro.axi.types import AxiParams
 from repro.memory.scratchpad import Memory, Scratchpad, SpReq
 from repro.sim import NEVER, ChannelQueue, Component, Simulator
-from repro.sim.compiled import CompiledProgram
 
 from test_selective_scheduling import (
     RelayStage,
@@ -38,56 +35,32 @@ from test_selective_scheduling import (
     _observe,
 )
 
-MODES = ("naive", "selective", "compiled")
-
-
-def _run_to_drain(seed, scheduling, settle=500):
-    sim, chains = _build_pipeline(seed, scheduling)
-    sim.run(200_000, until=_drained(chains))
-    sim.run(settle)
-    return _observe(sim, chains), sim
-
-
 # ---------------------------------------------------------------------------
 # Randomised relay-pipeline property tests
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_compiled_matches_selective(seed):
-    selective, _ = _run_to_drain(seed, "selective")
-    compiled, sim = _run_to_drain(seed, "compiled")
-    assert compiled == selective
-    # Non-vacuous: the compiled schedule elided ticks somewhere.
-    total = sum(sim.component_ticks(c) for c in sim._components)
-    assert total < sim.cycle * len(sim._components)
-
-
-@pytest.mark.parametrize("seed", range(12))
 def test_compiled_matches_naive(seed):
-    naive, _ = _run_to_drain(seed, "naive")
-    compiled, _ = _run_to_drain(seed, "compiled")
-    assert compiled == naive
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_compiled_lockstep_with_selective(seed):
     """Step both schedulers in odd-sized chunks and compare the observable
     state at every boundary — divergence is caught the cycle window it
     happens in, not just at the end.  Chunked runs also exercise program
     re-entry (``prepare()`` wakes everything, which must be a no-op for
     decisions by the hint contract)."""
+    sim_n, chains_n = _build_pipeline(seed, "naive")
     sim_s, chains_s = _build_pipeline(seed, "selective")
-    sim_c, chains_c = _build_pipeline(seed, "compiled")
     rng = random.Random(seed ^ 0xC0FFEE)
     for _ in range(200):
         chunk = rng.choice([1, 3, 7, 23, 97])
+        sim_n.run(chunk)
         sim_s.run(chunk)
-        sim_c.run(chunk)
-        assert _observe(sim_c, chains_c) == _observe(sim_s, chains_s)
-        if _drained(chains_s)():
+        assert _observe(sim_s, chains_s) == _observe(sim_n, chains_n)
+        if _drained(chains_n)():
             break
-    assert _drained(chains_c)()
+    assert _drained(chains_s)()
+    # Non-vacuous: the selective schedule elided ticks somewhere.
+    total = sum(sim_s.component_ticks(c) for c in sim_s._components)
+    assert total < sim_s.cycle * len(sim_s._components)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +101,7 @@ class _Watcher(Component):
         return NEVER
 
 
-@pytest.mark.parametrize("scheduling", ("selective", "compiled"))
+@pytest.mark.parametrize("scheduling", ("selective",))
 def test_request_wake_order_semantics(scheduling):
     """A wake requested by an earlier-indexed component lands the same
     cycle (naive would have ticked the target afterwards); from a
@@ -235,8 +208,7 @@ def test_memory_on_activity_escape_hatch(driver_first):
     produce identical delivery cycles and final contents under every
     schedule: the ``on_activity`` hatch wakes the sleeping clocker."""
     baseline = _run_mem_coupling("naive", driver_first)
-    for scheduling in ("fast_forward", "selective", "compiled"):
-        assert _run_mem_coupling(scheduling, driver_first) == baseline
+    assert _run_mem_coupling("selective", driver_first) == baseline
     delivered, cells = baseline
     assert [v for _, v in delivered] == [0xAB, 0xCD, 0xAB]
     assert cells[2] == 0xAB and cells[3] == 0xCD
@@ -302,99 +274,16 @@ def _run_scratchpad(scheduling):
 
 def test_scratchpad_parity_across_schedules():
     """The real Scratchpad (request_wake-wired Memory + credit-ruled ports)
-    behaves identically under all four schedules."""
+    behaves identically under both schedules."""
     baseline = _run_scratchpad("naive")
     responses, reads, writes, _cells = baseline
     assert reads > 0 and writes > 0 and responses
-    for scheduling in ("fast_forward", "selective", "compiled"):
-        assert _run_scratchpad(scheduling) == baseline
+    assert _run_scratchpad("selective") == baseline
 
 
 # ---------------------------------------------------------------------------
-# Closure-specialisation units
+# Tick-program units
 # ---------------------------------------------------------------------------
-
-
-class _SpecializedEcho(Component):
-    """Forwards items; offers a compiled closure and a compile-time hint."""
-
-    def __init__(self, name, inp, out):
-        super().__init__(name)
-        self.inp = inp
-        self.out = out
-        self.compiled_ticks = 0
-
-    def channels(self):
-        return [self.inp, self.out]
-
-    def tick(self, cycle):
-        if self.inp.can_pop() and self.out.can_push():
-            self.out.push(self.inp.pop())
-
-    def next_event(self, cycle):
-        return NEVER
-
-    def compile_tick(self):
-        inp, out = self.inp, self.out
-
-        def tick(cycle, self=self):
-            self.compiled_ticks += 1
-            if inp._pop_count < len(inp._items) and (
-                len(out._items) + len(out._staged) < out.capacity
-            ):
-                out.push(inp.pop())
-
-        return tick
-
-    def compile_hint(self):
-        def hint(cycle):
-            return NEVER
-
-        return hint
-
-
-def _echo_sim():
-    sim = Simulator(scheduling="compiled")
-    a = ChannelQueue(2, "a")
-    b = ChannelQueue(2, "b")
-    echo = sim.add(_SpecializedEcho("echo", a, b))
-    sim.register_channel(a)
-    sim.register_channel(b)
-    return sim, echo, a, b
-
-
-def test_compile_tick_closure_is_used():
-    sim, echo, a, b = _echo_sim()
-    a.push(7)
-    sim.run(5)
-    assert b.can_pop() and b.peek() == 7
-    assert echo.compiled_ticks > 0
-    assert "echo" in sim._program.specialized
-
-
-def test_instance_tick_patch_disables_specialization():
-    """A fault-style instance patch of ``tick`` must win over the class's
-    ``compile_tick`` (the patch is how hang injection reaches the model)."""
-    sim, echo, a, b = _echo_sim()
-    echo.tick = lambda cycle: None  # instance patch: component plays dead
-    a.push(7)
-    sim.run(5)
-    assert "echo" not in sim._program.specialized
-    assert echo.compiled_ticks == 0
-    assert not b.can_pop()  # the patched (dead) tick really ran instead
-
-
-def test_compile_hint_selection_and_instance_override():
-    sim, echo, a, b = _echo_sim()
-    hint = CompiledProgram._hint_fn(echo)
-    assert hint is not None
-    assert hint(0) == NEVER  # the compile_hint closure, not next_event
-
-    # An instance-level next_event (fault hang injection) must disable the
-    # compile_hint path and be consulted directly.
-    echo.next_event = lambda cycle: 42.0
-    patched = CompiledProgram._hint_fn(echo)
-    assert patched(0) == 42.0
 
 
 def test_wake_only_hint_elided():
@@ -416,10 +305,12 @@ def test_wake_only_hint_elided():
             return NEVER
 
     comp = _Reactive("r", ChannelQueue(2, "c"))
-    assert CompiledProgram._hint_fn(comp) is None
-    # ...unless an instance patch re-enables evaluation (hang injection).
-    comp.next_event = lambda cycle: 13.0
-    assert CompiledProgram._hint_fn(comp)(0) == 13.0
+    tick, hint = comp.tick_program()
+    assert hint is None
+    assert tick == comp.tick
+    # Without the declaration the bound next_event is evaluated.
+    comp.wake_only = False
+    assert comp.tick_program()[1](0) == NEVER
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +378,7 @@ def _drive_chain(sim, links, stages, feed):
 
 
 def test_identical_signature_chain_fuses():
-    sim, links, stages, feed, _spy = _build_fusable_chain("compiled")
+    sim, links, stages, feed, _spy = _build_fusable_chain("selective")
     sim.run(1)  # force program build
     prog = sim._program
     assert len(prog.groups) < len(prog.components)
@@ -498,11 +389,11 @@ def test_identical_signature_chain_fuses():
 
 
 def test_fused_chain_same_commit_order_as_unfused(monkeypatch):
-    fused = _build_fusable_chain("compiled")
+    fused = _build_fusable_chain("selective")
     out_fused = _drive_chain(fused[0], fused[1], fused[2], fused[3])
 
-    monkeypatch.setattr(compiled_mod, "MAX_FUSED", 1)
-    unfused = _build_fusable_chain("compiled")
+    monkeypatch.setattr(selective_mod, "MAX_FUSED", 1)
+    unfused = _build_fusable_chain("selective")
     out_unfused = _drive_chain(unfused[0], unfused[1], unfused[2], unfused[3])
     assert all(len(g) == 1 for g in unfused[0]._program.groups)
 
@@ -515,19 +406,19 @@ def test_fused_chain_same_commit_order_as_unfused(monkeypatch):
 
 
 def test_fused_chain_matches_naive_timing():
-    compiled = _build_fusable_chain("compiled")
+    selective = _build_fusable_chain("selective")
     naive = _build_fusable_chain("naive")
-    out_c = _drive_chain(compiled[0], compiled[1], compiled[2], compiled[3])
+    out_s = _drive_chain(selective[0], selective[1], selective[2], selective[3])
     out_n = _drive_chain(naive[0], naive[1], naive[2], naive[3])
-    assert out_c == out_n
-    stats_c = [
+    assert out_s == out_n
+    stats_s = [
         (c.name, c.total_pushed, c.total_popped, c.occupancy_accum,
          c.cycles_observed)
-        for c in compiled[0]._channels
+        for c in selective[0]._channels
     ]
     stats_n = [
         (c.name, c.total_pushed, c.total_popped, c.occupancy_accum,
          c.cycles_observed)
         for c in naive[0]._channels
     ]
-    assert stats_c == stats_n
+    assert stats_s == stats_n

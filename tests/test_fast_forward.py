@@ -1,13 +1,12 @@
-"""Differential cycle-exactness harness for the event-skipping kernel.
+"""Differential cycle-exactness harness for the event-driven kernel.
 
-Every scenario here is run under all four schedules — ``naive`` stepping,
-whole-design ``fast_forward``, per-component ``selective``, and the
-closure-specialised ``compiled`` tick program — and the runs must be
-*indistinguishable* in everything except wall clock: final cycle counts,
-per-channel statistics, AXI transaction timelines, response orderings and
-latencies, and the data the accelerator produced.  The skipping runs must
-additionally prove that they actually skipped/elided work (otherwise the
-harness is vacuous).
+Every scenario here is run under both schedules — the tick-everything
+``naive`` oracle and event-driven ``selective`` scheduling — and the runs
+must be *indistinguishable* in everything except wall clock: final cycle
+counts, per-channel statistics, AXI transaction timelines, response
+orderings and latencies, and the data the accelerator produced.  The
+selective runs must additionally prove that they actually skipped/elided
+work (otherwise the harness is vacuous).
 """
 
 import numpy as np
@@ -30,10 +29,8 @@ from repro.platforms import AWSF1Platform, SimulationPlatform
 from repro.runtime import FpgaHandle
 from repro.sim import NEVER, skip_summary, wake_summary
 
-#: The event-skipping schedules, each compared against naive.  ``compiled``
-#: shares selective's wake decisions but dispatches through pre-specialised
-#: closures, so it must clear the exact same differential bar.
-SKIPPING_MODES = ("fast_forward", "selective", "compiled")
+#: The event-driven schedules, each compared against naive.
+SKIPPING_MODES = ("selective",)
 
 
 def _channel_stats(design):
@@ -152,6 +149,45 @@ def _run_memcpy(scheduling):
 @pytest.mark.parametrize("mode", SKIPPING_MODES)
 def test_memcpy_differential(mode):
     _assert_equivalent(_run_memcpy("naive"), _run_memcpy(mode))
+
+
+def _run_dma(scheduling):
+    """Host<->device copies on a discrete platform, around one command."""
+    build = BeethovenBuild(
+        memcpy_config(n_cores=2),
+        AWSF1Platform(),
+        BuildMode.Simulation,
+        scheduling=scheduling,
+    )
+    handle = FpgaHandle(build.design)
+    assert handle.discrete
+    cycles = []
+
+    def copy(direction, ptr):
+        cycle, spent = handle.cycle, handle.dma_cycles_spent
+        direction(ptr)
+        advanced = handle.cycle - cycle
+        # A copy advances the clock by exactly the DMA time it books.
+        assert advanced == handle.dma_cycles_spent - spent > 0
+        cycles.append(advanced)
+
+    src, dst = handle.malloc(3000), handle.malloc(3000)
+    src.write(bytes(i % 251 for i in range(3000)))
+    copy(handle.copy_to_fpga, src)
+    copy(handle.copy_to_fpga, dst)
+    handle.call(
+        "Memcpy", "memcpy", 1,
+        src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=3000,
+    ).get(max_cycles=500_000)
+    copy(handle.copy_from_fpga, dst)
+    assert dst.read() == src.read()
+    return handle.cycle, cycles, _stable_metrics(build.design)
+
+
+def test_dma_copies_advance_booked_cycles_identically():
+    naive, selective = _run_dma("naive"), _run_dma("selective")
+    assert selective[:2] == naive[:2]
+    assert selective[2] == naive[2]
 
 
 # ---------------------------------------------------------------------------
@@ -288,30 +324,14 @@ def _run_server(scheduling):
     )
 
 
-def test_runtime_server_differential_fast_forward():
-    naive, fast = _run_server("naive"), _run_server("fast_forward")
-    _assert_equivalent(naive, fast)
-    # Long-latency kernels leave substantial dead time even though queued
-    # commands parked in a busy core's req channel pin much of the run
-    # non-quiescent (the strict gate refuses to skip over staged traffic).
-    assert fast["skipped"] > fast["cycle"] * 0.25
-
-
 def test_runtime_server_differential_selective():
     naive, sel = _run_server("naive"), _run_server("selective")
     _assert_equivalent(naive, sel)
-    # Selective scheduling is strictly more aggressive than the global gate:
-    # a busy core never pins idle components awake, so across the design the
-    # elided ticks exceed a full component-lifetime of work.
+    # A busy core never pins idle components awake, so across the design
+    # the elided ticks exceed a full component-lifetime of work, and the
+    # long-latency kernels leave dead time the clock jumps over.
     assert sel["elided"] > sel["cycle"]
-
-
-def test_runtime_server_differential_compiled():
-    naive, comp = _run_server("naive"), _run_server("compiled")
-    _assert_equivalent(naive, comp)
-    # Compiled inherits selective's wake decisions, so the same elision bar
-    # applies: sleeping components never appear in the dispatch order.
-    assert comp["elided"] > comp["cycle"]
+    assert sel["skipped"] > sel["cycle"] * 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +355,7 @@ def test_fig6_machsuite_differential(mode):
 def test_skip_summary_shape():
     build = BeethovenBuild(
         delay_config(1, 2000), AWSF1Platform(), BuildMode.Simulation,
-        scheduling="fast_forward",
+        scheduling="selective",
     )
     handle = FpgaHandle(build.design)
     handle.call("Delay", "run", 0, job=0).get(max_cycles=1_000_000)

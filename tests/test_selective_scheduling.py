@@ -201,14 +201,6 @@ def test_selective_matches_naive(seed):
     assert total_ticks < sel_sim.cycle * len(sel_sim._components)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_fast_forward_matches_naive(seed):
-    """The PR 1 whole-design scheduler stays correct on the same traffic."""
-    naive, _ = _run(seed, "naive")
-    fast, _ = _run(seed, "fast_forward")
-    assert fast == naive
-
-
 def test_request_wake_same_cycle_or_next():
     """request_wake from an earlier-indexed component ticks the target this
     cycle (matching naive order); from a later-indexed one, next cycle."""

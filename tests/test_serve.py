@@ -198,7 +198,7 @@ def test_fifo_per_client_and_client_counters():
 # ----------------------------------------------------------------- batching
 def test_batching_skips_lock_cycles_on_bursts():
     results = {}
-    for mode in ("naive", "compiled"):
+    for mode in ("naive", "selective"):
         cfg = TenantConfig(name="burst", max_in_flight=8, max_queued=64)
         svc, handle, _ = _service([cfg], mode=mode, n_gemm=1, n_attn=1)
         gen = LoadGenerator(
@@ -220,13 +220,13 @@ def test_batching_skips_lock_cycles_on_bursts():
         assert skips > 0
         assert coalesced >= skips  # only back-to-back continuations skip
         assert saved == skips * handle.server.host.command_lock_cycles
-    assert results["naive"] == results["compiled"]
+    assert results["naive"] == results["selective"]
 
 
 # -------------------------------------------------------------- determinism
 def test_seeded_loadgen_identical_across_backends():
     baseline = None
-    for mode in ("naive", "compiled"):
+    for mode in ("naive", "selective"):
         report, _, _ = run_scenario("smoke", seed=123, mode=mode, n_requests=5)
         blob = json.dumps(report.to_dict(), sort_keys=True)
         if baseline is None:

@@ -276,7 +276,7 @@ class Sleeper(Component):
 
 
 def test_fast_forward_skips_to_hint():
-    sim = Simulator(fast_forward=True)
+    sim = Simulator(scheduling="selective")
     sleeper = sim.add(Sleeper(1000))
     sleeper.req.push(0)
     sim.run(5000, until=lambda: len(sleeper.resp) > 0)
@@ -286,7 +286,7 @@ def test_fast_forward_skips_to_hint():
     ns.req.push(0)
     naive.run(5000, until=lambda: len(ns.resp) > 0)
     assert sim.cycle == naive.cycle
-    # ...but the fast-forward run elided almost all of the wait.
+    # ...but the selective run jumped over almost all of the wait.
     assert sim.cycles_skipped > 900
     assert len(sleeper.tick_cycles) < 100
 
@@ -296,7 +296,7 @@ def test_unhinted_component_vetoes_skipping():
         def tick(self, cycle):
             pass
 
-    sim = Simulator(fast_forward=True)
+    sim = Simulator(scheduling="selective")
     sleeper = sim.add(Sleeper(1000))
     sim.add(Unhinted())
     sleeper.req.push(0)
@@ -305,7 +305,7 @@ def test_unhinted_component_vetoes_skipping():
 
 
 def test_fast_forward_credits_channel_stats():
-    sim = Simulator(fast_forward=True)
+    sim = Simulator(scheduling="selective")
     sleeper = sim.add(Sleeper(1000))
     sleeper.req.push(0)
     sim.run(5000, until=lambda: len(sleeper.resp) > 0)
@@ -321,7 +321,7 @@ def test_all_never_skips_to_deadline_only_without_predicate():
         def next_event(self, cycle):
             return NEVER
 
-    sim = Simulator(fast_forward=True)
+    sim = Simulator(scheduling="selective")
     sim.add(Reactive())
     assert sim.run(10_000) == 10_000
     assert sim.skip_events == 1

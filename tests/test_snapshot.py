@@ -88,7 +88,7 @@ def test_checkpoint_scenario_registered():
 
 
 def test_checkpoint_chaos_outcome_allowed():
-    o = run_chaos("checkpoint", "fast_forward", FAULTY_SEED)
+    o = run_chaos("checkpoint", "naive", FAULTY_SEED)
     assert o.scenario == "checkpoint"
     assert o.outcome in GOOD_OUTCOMES, o.error
     assert not o.violates_contract

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Emit the cycle-attribution bottleneck report for benchmark points.
 
-Runs two instrumented points under all four scheduling modes and writes the
+Runs two instrumented points under both scheduling modes and writes the
 :mod:`repro.obs.attribution` rollup for each:
 
 * a Figure-6 MachSuite point (``--bench``, default ``md-knn``): the paper's
@@ -17,7 +17,7 @@ non-zero on violation:
   end-to-end latency exactly (the acceptance bar is 1%; the extractor is
   built to be exact);
 * **scheduling invariance** — segment totals and the contention counters are
-  identical under naive, fast_forward, selective and compiled scheduling.
+  identical under naive and selective scheduling.
 
 Artifacts: ``attribution_<point>.json`` per point plus a combined
 ``bottleneck_report.json`` under ``--out``; the text reports go to stdout.
@@ -38,8 +38,7 @@ from repro.kernels.memcpy import memcpy_config
 from repro.obs import Observability, extract_command_paths, render_attribution_report
 from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
-
-MODES = ("naive", "fast_forward", "selective", "compiled")
+from repro.sim import SCHEDULING_MODES as MODES
 
 
 def _build(config, mode):

@@ -27,6 +27,7 @@ from repro.obs import Observability
 from repro.obs.export import validate_chrome_trace
 from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle
+from repro.sim import SCHEDULING_MODES
 
 
 def main(argv=None) -> int:
@@ -36,7 +37,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--scheduling",
         default=None,
-        choices=("naive", "fast_forward", "selective", "compiled"),
+        choices=SCHEDULING_MODES,
         help="simulation kernel schedule (default: the design's default)",
     )
     args = parser.parse_args(argv)
