@@ -3,10 +3,10 @@ scheduling (:class:`repro.sim.selective.SelectiveProgram`).
 
 Three layers of evidence that the program executes the naive schedule:
 
-* **Randomised relay pipelines in lockstep** — seeded topologies, burst
-  schedules and backpressure stalls, stepped in odd-sized chunks under both
-  schedules and compared log-for-log (every event carries its cycle) and
-  channel-statistic-for-statistic at every chunk boundary.
+* **Randomised relay pipelines** — seeded topologies, burst schedules and
+  backpressure stalls, run under both schedules and compared log-for-log
+  (every event carries its cycle) and channel-statistic-for-statistic, both
+  in one shot and in lockstep chunks.
 * **Tick-program units** — the default :meth:`Component.tick_program`
   elides the hint of ``wake_only`` components.
 * **Chain fusion units** — components with identical wake signatures fuse
@@ -40,13 +40,30 @@ from test_selective_scheduling import (
 # ---------------------------------------------------------------------------
 
 
+def _run_to_drain(seed, scheduling, settle=500):
+    sim, chains = _build_pipeline(seed, scheduling)
+    sim.run(200_000, until=_drained(chains))
+    sim.run(settle)
+    return _observe(sim, chains), sim
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_compiled_matches_naive(seed):
-    """Step both schedulers in odd-sized chunks and compare the observable
-    state at every boundary — divergence is caught the cycle window it
-    happens in, not just at the end.  Chunked runs also exercise program
-    re-entry (``prepare()`` wakes everything, which must be a no-op for
-    decisions by the hint contract)."""
+    naive, _ = _run_to_drain(seed, "naive")
+    selective, sim = _run_to_drain(seed, "selective")
+    assert selective == naive
+    # Non-vacuous: the selective schedule elided ticks somewhere.
+    total = sum(sim.component_ticks(c) for c in sim._components)
+    assert total < sim.cycle * len(sim._components)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compiled_lockstep_with_selective(seed):
+    """Step the selective program and the naive oracle in odd-sized chunks
+    and compare the observable state at every boundary — divergence is
+    caught the cycle window it happens in, not just at the end.  Chunked
+    runs also exercise program re-entry (``prepare()`` wakes everything,
+    which must be a no-op for decisions by the hint contract)."""
     sim_n, chains_n = _build_pipeline(seed, "naive")
     sim_s, chains_s = _build_pipeline(seed, "selective")
     rng = random.Random(seed ^ 0xC0FFEE)
@@ -58,9 +75,6 @@ def test_compiled_matches_naive(seed):
         if _drained(chains_n)():
             break
     assert _drained(chains_s)()
-    # Non-vacuous: the selective schedule elided ticks somewhere.
-    total = sum(sim_s.component_ticks(c) for c in sim_s._components)
-    assert total < sim_s.cycle * len(sim_s._components)
 
 
 # ---------------------------------------------------------------------------
