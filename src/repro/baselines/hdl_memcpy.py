@@ -75,7 +75,7 @@ class HdlMemcpyMaster(Component):
             and self._fifo_bytes + self.burst_beats * beat <= self.fifo_bytes
         ):
             addr, beats, _payload = self._read_segments.popleft()
-            self.mport.push_ar(cycle, ARReq(axi_id=0, addr=addr, length=beats))
+            self.mport.push_ar(cycle, ARReq(0, addr, beats, self.txn_tags.draw()))
             self._read_open = True
         if self.port.r.can_pop():
             rbeat = self.port.r.pop()
@@ -92,7 +92,7 @@ class HdlMemcpyMaster(Component):
             addr, beats, _payload = self._write_segments[0]
             if self._fifo_bytes >= beats * beat:
                 self._write_segments.popleft()
-                self.mport.push_aw(cycle, AWReq(axi_id=0, addr=addr, length=beats))
+                self.mport.push_aw(cycle, AWReq(0, addr, beats, self.txn_tags.draw()))
                 self._aw_open = beats
                 self._write_inflight = True
         if self._aw_open and self.port.w.can_push() and self._fifo:

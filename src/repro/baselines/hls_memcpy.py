@@ -78,7 +78,7 @@ class HlsMemcpyMaster(Component):
             addr, beats, _payload = self._read_segments[0]
             if self._reserved_bytes + beats * beat <= self.fifo_bytes:
                 self._read_segments.popleft()
-                self.mport.push_ar(cycle, ARReq(axi_id=0, addr=addr, length=beats))
+                self.mport.push_ar(cycle, ARReq(0, addr, beats, self.txn_tags.draw()))
                 self._reads_outstanding += 1
                 self._reserved_bytes += beats * beat
         if self.port.r.can_pop():
@@ -93,7 +93,7 @@ class HlsMemcpyMaster(Component):
             addr, beats, _payload = self._write_segments[0]
             if self._fifo_bytes >= beats * beat:
                 self._write_segments.popleft()
-                self.mport.push_aw(cycle, AWReq(axi_id=0, addr=addr, length=beats))
+                self.mport.push_aw(cycle, AWReq(0, addr, beats, self.txn_tags.draw()))
                 self._aw_open = beats
         if self._aw_open and self.port.w.can_push() and self._fifo:
             chunk = self._fifo.popleft()

@@ -45,6 +45,10 @@ class AcceleratorCore(Component):
             def tick(self, cycle): ...
     """
 
+    #: The elaboration context (config, platform, primitive registry) is
+    #: structure the rebuild recreates, not snapshot state.
+    _snapshot_exclude = ("ctx",)
+
     def __init__(self, ctx: CoreContext) -> None:
         super().__init__(f"{ctx.system_name}.core{ctx.core_id}")
         self.ctx = ctx

@@ -510,6 +510,8 @@ class ElaboratedDesign:
                 Simulator(f"part{p}", scheduling=self.sim.scheduling)
                 for p in range(1, self.dist_plan.n_partitions)
             ]
+            for part in self.part_sims[1:]:
+                part.txn_tags = self.sim.txn_tags  # one tag space per design
             register_partitioned(self, self.dist_plan, self.part_sims)
             return
         sim = self.sim

@@ -51,6 +51,8 @@ class BridgeEgress(Component):
 
     #: Purely reactive: progress requires traffic on a source channel.
     wake_only = True
+    #: The peer may live in another partition; the rebuild rewires it.
+    _snapshot_exclude = ("peer",)
 
     def __init__(
         self,
@@ -117,6 +119,9 @@ class BridgeIngress(Component):
     ``chan`` is the channel probed for space.
     """
 
+    #: Push closures are structure, recreated by the rebuild.
+    _snapshot_exclude = ("_targets",)
+
     def __init__(
         self,
         bridge_id: str,
@@ -149,8 +154,7 @@ class BridgeIngress(Component):
         if self.latency is not None:
             scope.bind("latency", lambda: self.latency)
         for metric_name, key in self._in_flight_metrics.items():
-            q = self._delay[key]
-            scope.bind(metric_name, lambda q=q: len(q))
+            scope.bind(metric_name, lambda key=key: len(self._delay[key]))
 
     def inject(self, key: str, due: int, item: Any) -> None:
         """Local-transport delivery: append one item mid-cycle.

@@ -152,11 +152,12 @@ class MemoryController(Component):
         scope.bind(
             "activations", lambda: sum(b.activations for b in self.banks)
         )
-        # Per-bank row-buffer outcomes, for the contention accounter.
-        for i, bank in enumerate(self.banks):
-            scope.bind(f"bank{i}/activations", lambda b=bank: b.activations)
-            scope.bind(f"bank{i}/row_hits", lambda b=bank: b.row_hits)
-            scope.bind(f"bank{i}/row_misses", lambda b=bank: b.row_misses)
+        # Per-bank row-buffer outcomes, for the contention accounter.  Read
+        # through self: a snapshot restore replaces the bank objects.
+        for i in range(len(self.banks)):
+            scope.bind(f"bank{i}/activations", lambda i=i: self.banks[i].activations)
+            scope.bind(f"bank{i}/row_hits", lambda i=i: self.banks[i].row_hits)
+            scope.bind(f"bank{i}/row_misses", lambda i=i: self.banks[i].row_misses)
 
     # ------------------------------------------------------------------ helpers
     def _outstanding(self) -> int:

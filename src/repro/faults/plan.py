@@ -367,8 +367,9 @@ class AxiNodeFaultHook:
             return "pass", beat.data, beat.err
         draw = self.rng.random()
         # Details carry the (stable) local AXI id, never the transaction
-        # tag: tags come from a process-global counter, so they differ from
-        # build to build and would break cross-mode fingerprint equality.
+        # tag: forked dist workers each advance their own copy of the
+        # design's tag counter, so tags would break cross-engine
+        # fingerprint equality.
         if draw < self.drop_rate:
             self.budget -= 1
             self.state.inject(cycle, self.site, "r_drop", f"id={beat.axi_id}")

@@ -62,20 +62,18 @@ class GemmCore(PhasedKernelCore):
         return -(-(n**3) // lanes) + PIPELINE_DEPTH
 
     def plan(self, cmd) -> KernelPlan:
-        n = cmd["n"]
-        nbytes = n * n * 4
-
-        def compute(loaded):
-            a = np.frombuffer(loaded["mat_a"], dtype=np.int32).reshape(n, n)
-            b = np.frombuffer(loaded["mat_b"], dtype=np.int32).reshape(n, n)
-            c = gemm(a, b)
-            return {"mat_c": c.tobytes()}, self.compute_cycles(n)
-
+        nbytes = cmd["n"] * cmd["n"] * 4
         return KernelPlan(
             loads=[("mat_a", cmd["a_addr"], nbytes), ("mat_b", cmd["b_addr"], nbytes)],
             stores=[("mat_c", cmd["c_addr"])],
-            compute=compute,
         )
+
+    def compute(self, cmd, loaded):
+        n = cmd["n"]
+        a = np.frombuffer(loaded["mat_a"], dtype=np.int32).reshape(n, n)
+        b = np.frombuffer(loaded["mat_b"], dtype=np.int32).reshape(n, n)
+        c = gemm(a, b)
+        return {"mat_c": c.tobytes()}, self.compute_cycles(n)
 
 
 def gemm_config(

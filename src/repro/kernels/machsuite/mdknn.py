@@ -58,21 +58,20 @@ class MdKnnCore(PhasedKernelCore):
 
     def plan(self, cmd) -> KernelPlan:
         n, k = cmd["n_atoms"], cmd["k"]
-
-        def compute(loaded):
-            pos = np.frombuffer(loaded["positions"], dtype=np.float32).reshape(n, 3)
-            nl = np.frombuffer(loaded["neighbors"], dtype=np.int32).reshape(n, k)
-            forces = md_knn(pos, nl)
-            return {"forces": forces.tobytes()}, self.compute_cycles(n, k)
-
         return KernelPlan(
             loads=[
                 ("positions", cmd["pos_addr"], n * 12),
                 ("neighbors", cmd["nl_addr"], n * k * 4),
             ],
             stores=[("forces", cmd["force_addr"])],
-            compute=compute,
         )
+
+    def compute(self, cmd, loaded):
+        n, k = cmd["n_atoms"], cmd["k"]
+        pos = np.frombuffer(loaded["positions"], dtype=np.float32).reshape(n, 3)
+        nl = np.frombuffer(loaded["neighbors"], dtype=np.int32).reshape(n, k)
+        forces = md_knn(pos, nl)
+        return {"forces": forces.tobytes()}, self.compute_cycles(n, k)
 
 
 def mdknn_config(

@@ -55,20 +55,18 @@ class NwCore(PhasedKernelCore):
 
     def plan(self, cmd) -> KernelPlan:
         n = cmd["n"]
-
-        def compute(loaded):
-            score, out_a, out_b = nw(loaded["seq_a"], loaded["seq_b"])
-            # Fixed-size output region: each aligned string padded to 2N.
-            blob = out_a.ljust(2 * n, b"-") + out_b.ljust(2 * n, b"-")
-            plan_resp = {"score": score & 0xFFFFFFFF}
-            self._plan.response.update(plan_resp)
-            return {"aligned": blob}, self.compute_cycles(n)
-
         return KernelPlan(
             loads=[("seq_a", cmd["seq_a_addr"], n), ("seq_b", cmd["seq_b_addr"], n)],
             stores=[("aligned", cmd["out_addr"])],
-            compute=compute,
         )
+
+    def compute(self, cmd, loaded):
+        n = cmd["n"]
+        score, out_a, out_b = nw(loaded["seq_a"], loaded["seq_b"])
+        # Fixed-size output region: each aligned string padded to 2N.
+        blob = out_a.ljust(2 * n, b"-") + out_b.ljust(2 * n, b"-")
+        self._plan.response["score"] = score & 0xFFFFFFFF
+        return {"aligned": blob}, self.compute_cycles(n)
 
 
 def nw_config(n_cores: int = 1, n: int = 256, name: str = "Nw") -> AcceleratorConfig:

@@ -4,20 +4,22 @@ The low-effort Beethoven MachSuite designs share one shape: stream operands
 in through Readers, run a fixed-function pipeline over on-chip data, stream
 results out through Writers (Section III-B: "implemented ... over an
 afternoon").  ``PhasedKernelCore`` captures that shape: subclasses describe
-each command as a :class:`KernelPlan` (loads -> compute -> stores) and the
-base class runs the cycle-level FSM — parallel load streams, a busy counter
-for the compute schedule (whose cycle count the subclass derives from its
-pipeline structure), parallel store streams, then the response.
+each command as a :class:`KernelPlan` (loads -> stores) plus a ``compute``
+method, and the base class runs the cycle-level FSM — parallel load streams,
+a busy counter for the compute schedule (whose cycle count the subclass
+derives from its pipeline structure), parallel store streams, then the
+response.  The plan holds data only, so a core mid-command is snapshot
+state like any other.
 
-Functional results are exact: the compute callback sees the actual loaded
-bytes and produces the actual stored bytes, checked against the software
-references in tests.
+Functional results are exact: ``compute`` sees the actual loaded bytes and
+produces the actual stored bytes, checked against the software references
+in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.accelerator import AcceleratorCore
 from repro.memory.types import ReadRequest, WriteRequest
@@ -29,21 +31,19 @@ class KernelPlan:
 
     loads: List[Tuple[str, int, int]]  # (reader channel name, addr, bytes)
     stores: List[Tuple[str, int]]  # (writer channel name, addr); data from compute
-    compute: Callable[[Dict[str, bytes]], Tuple[Dict[str, bytes], int]]
-    """Maps loaded bytes (by channel name) to (stored bytes by channel name,
-    compute busy cycles)."""
-
     response: Dict[str, object] = field(default_factory=dict)
 
 
 class PhasedKernelCore(AcceleratorCore):
-    """Load-compute-store FSM; subclasses provide ``plan()`` and IO."""
+    """Load-compute-store FSM; subclasses provide ``plan()``, ``compute()``
+    and IO."""
 
     IDLE, LOAD, COMPUTE, STORE, RESPOND = range(5)
 
     def __init__(self, ctx) -> None:
         super().__init__(ctx)
         self._state = self.IDLE
+        self._cmd: Optional[Dict[str, object]] = None
         self._plan: Optional[KernelPlan] = None
         self._load_buf: Dict[str, bytearray] = {}
         self._load_need: Dict[str, int] = {}
@@ -57,6 +57,13 @@ class PhasedKernelCore(AcceleratorCore):
 
     # -- subclass interface ---------------------------------------------------
     def plan(self, cmd: Dict[str, object]) -> KernelPlan:
+        raise NotImplementedError
+
+    def compute(
+        self, cmd: Dict[str, object], loaded: Dict[str, bytes]
+    ) -> Tuple[Dict[str, bytes], int]:
+        """Map loaded bytes (by channel name) to (stored bytes by channel
+        name, compute busy cycles)."""
         raise NotImplementedError
 
     @property
@@ -82,6 +89,7 @@ class PhasedKernelCore(AcceleratorCore):
         if not io.req.can_pop():
             return
         cmd = io.req.pop()
+        self._cmd = cmd
         self._plan = self.plan(cmd)
         self._load_buf = {name: bytearray() for name, _, _ in self._plan.loads}
         self._load_need = {name: nbytes for name, _, nbytes in self._plan.loads}
@@ -110,8 +118,8 @@ class PhasedKernelCore(AcceleratorCore):
             if len(buf) < self._load_need[name]:
                 done = False
         if done:
-            outputs, cycles = plan.compute(
-                {name: bytes(buf) for name, buf in self._load_buf.items()}
+            outputs, cycles = self.compute(
+                self._cmd, {name: bytes(buf) for name, buf in self._load_buf.items()}
             )
             self._store_data = outputs
             self._busy = max(int(cycles), 1)

@@ -60,21 +60,20 @@ class Stencil2dCore(PhasedKernelCore):
 
     def plan(self, cmd) -> KernelPlan:
         n = cmd["n"]
-
-        def compute(loaded):
-            grid = np.frombuffer(loaded["grid"], dtype=np.int32).reshape(n, n)
-            coeffs = np.frombuffer(loaded["coeffs"], dtype=np.int32).reshape(3, 3)
-            out = stencil2d(grid, coeffs)
-            return {"result": out.tobytes()}, self.compute_cycles(n)
-
         return KernelPlan(
             loads=[
                 ("grid", cmd["grid_addr"], n * n * 4),
                 ("coeffs", cmd["coeff_addr"], 36),
             ],
             stores=[("result", cmd["out_addr"])],
-            compute=compute,
         )
+
+    def compute(self, cmd, loaded):
+        n = cmd["n"]
+        grid = np.frombuffer(loaded["grid"], dtype=np.int32).reshape(n, n)
+        coeffs = np.frombuffer(loaded["coeffs"], dtype=np.int32).reshape(3, 3)
+        out = stencil2d(grid, coeffs)
+        return {"result": out.tobytes()}, self.compute_cycles(n)
 
 
 class Stencil3dCore(PhasedKernelCore):
@@ -110,17 +109,16 @@ class Stencil3dCore(PhasedKernelCore):
 
     def plan(self, cmd) -> KernelPlan:
         n = cmd["n"]
-
-        def compute(loaded):
-            grid = np.frombuffer(loaded["grid"], dtype=np.int32).reshape(n, n, n)
-            out = stencil3d(grid, cmd["c0"], cmd["c1"])
-            return {"result": out.tobytes()}, self.compute_cycles(n)
-
         return KernelPlan(
             loads=[("grid", cmd["grid_addr"], n * n * n * 4)],
             stores=[("result", cmd["out_addr"])],
-            compute=compute,
         )
+
+    def compute(self, cmd, loaded):
+        n = cmd["n"]
+        grid = np.frombuffer(loaded["grid"], dtype=np.int32).reshape(n, n, n)
+        out = stencil3d(grid, cmd["c0"], cmd["c1"])
+        return {"result": out.tobytes()}, self.compute_cycles(n)
 
 
 def stencil2d_config(

@@ -196,7 +196,7 @@ class Reader(Component):
         self._attribute_stall(cycle)
         sub.axi_id = self._next_id
         self._next_id = (self._next_id + 1) % max(self.tuning.n_axi_ids, 1)
-        req = ARReq(axi_id=sub.axi_id, addr=sub.addr, length=sub.beats)
+        req = ARReq(sub.axi_id, sub.addr, sub.beats, self.txn_tags.draw())
         sub.tag = req.tag
         self.port.ar.push(req)
         self._by_tag[req.tag] = sub

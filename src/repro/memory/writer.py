@@ -43,6 +43,7 @@ class _WrSubTxn:
     axi_id: int = 0
     tag: int = -1
     queued: bool = False  # payload carved off and waiting for / past AW
+    payload: bytes = b""  # the carved-off burst data, held until B
     issued: bool = False
     beats_sent: int = 0
     done: bool = False
@@ -92,9 +93,7 @@ class Writer(Component):
         self._requests: Deque[_ActiveRequest] = deque()
         self._fill_buffer = bytearray()  # staging for the request being fed
         self._issue_q: Deque[_WrSubTxn] = deque()  # fully-buffered, awaiting AW
-        self._queued_payload: Dict[int, bytes] = {}  # id(sub) -> burst payload
         self._w_stream: Deque[_WrSubTxn] = deque()  # AW sent, W beats owed
-        self._sub_payload: Dict[int, bytes] = {}  # tag -> burst payload
         self._by_tag: Dict[int, _WrSubTxn] = {}
         self._in_flight = 0
         self._buffered_bytes = 0
@@ -170,7 +169,7 @@ class Writer(Component):
             if sub.queued:
                 continue
             if len(self._fill_buffer) >= sub.payload_bytes:
-                payload = bytes(self._fill_buffer[: sub.payload_bytes])
+                sub.payload = bytes(self._fill_buffer[: sub.payload_bytes])
                 del self._fill_buffer[: sub.payload_bytes]
                 sub.queued = True
                 if not self._issue_q:
@@ -178,7 +177,6 @@ class Writer(Component):
                     # new head is eligible for issue from this very cycle.
                     self._head_since = cycle
                 self._issue_q.append(sub)
-                self._queued_payload[id(sub)] = payload
             break  # only the front un-queued burst can complete
 
     def _attribute_stall(self, cycle: int) -> None:
@@ -212,11 +210,9 @@ class Writer(Component):
         sub = self._issue_q.popleft()
         sub.axi_id = self._next_id
         self._next_id = (self._next_id + 1) % max(self.tuning.n_axi_ids, 1)
-        req = AWReq(axi_id=sub.axi_id, addr=sub.addr, length=sub.beats)
+        req = AWReq(sub.axi_id, sub.addr, sub.beats, self.txn_tags.draw())
         sub.tag = req.tag
         sub.issued = True
-        payload = self._queued_payload.pop(id(sub))
-        self._sub_payload[req.tag] = payload
         self._by_tag[req.tag] = sub
         self.port.aw.push(req)
         self._w_stream.append(sub)
@@ -234,7 +230,7 @@ class Writer(Component):
         if not self._w_stream or not self.port.w.can_push():
             return
         sub = self._w_stream[0]
-        payload = self._sub_payload[sub.tag]
+        payload = sub.payload
         beat_bytes = self.port.params.beat_bytes
         start = sub.beats_sent * beat_bytes
         chunk = payload[start : start + beat_bytes]
@@ -261,7 +257,7 @@ class Writer(Component):
             # Freed slot is usable from the next tick (issue ran already).
             self._inflight_ok_since = cycle + 1
         self._buffered_bytes -= sub.payload_bytes
-        del self._sub_payload[resp.tag]
+        sub.payload = b""
         span_id = self._span_by_tag.pop(resp.tag, 0)
         if span_id and self.spans is not None:
             self.spans.axi_end(span_id, cycle)

@@ -446,7 +446,7 @@ class FpgaHandle:
         return on_response
 
     # ----------------------------------------------------------- snapshot
-    def snapshot_state(self, fr) -> Dict[str, object]:
+    def snapshot_state(self) -> Dict[str, object]:
         """Host-side state for ``repro.snapshot``: allocator, degradation
         bookkeeping, and the outcome of every command issued so far.
 
@@ -460,39 +460,37 @@ class FpgaHandle:
         calls = {}
         for uid, rec in self._calls.items():
             fut = rec["fut"]
-            calls[uid] = {
-                "response": fr.freeze(fut._response),
-                "error": fr.freeze(fut._error),
-                "submitted_cycle": fut.submitted_cycle,
-                "completed_cycle": getattr(fut, "_completed_cycle", None),
-            }
+            calls[uid] = (
+                fut._response,
+                fut._error,
+                fut.submitted_cycle,
+                getattr(fut, "_completed_cycle", None),
+            )
         return {
-            "allocator": fr.freeze_attrs(self.allocator),
+            "allocator": self.allocator,
             "degraded_cores": sorted(self.degraded_cores),
             "dma_cycles_spent": self.dma_cycles_spent,
             "next_client": getattr(self, "_next_client", 0),
             "calls": calls,
         }
 
-    def restore_state(self, state: Dict[str, object], th) -> None:
-        th.pair_attrs(self.allocator, state["allocator"])
-        th.thaw_attrs(self.allocator, state["allocator"])
+    def restore_state(self, state: Dict[str, object]) -> None:
+        self.allocator = state["allocator"]
         self.degraded_cores.clear()
         self.degraded_cores.update(tuple(k) for k in state["degraded_cores"])
         self.dma_cycles_spent = state["dma_cycles_spent"]
         if state["next_client"]:
             self._next_client = state["next_client"]
-        for uid, st in state["calls"].items():
+        for uid, (response, error, submitted, completed) in state["calls"].items():
             rec = self._calls.get(uid)
             if rec is None:
-                th.unresolved += 1
                 continue
             fut = rec["fut"]
-            fut._response = th.thaw(st["response"])
-            fut._error = th.thaw(st["error"])
-            fut.submitted_cycle = st["submitted_cycle"]
-            if st["completed_cycle"] is not None:
-                fut._completed_cycle = st["completed_cycle"]
+            fut._response = response
+            fut._error = error
+            fut.submitted_cycle = submitted
+            if completed is not None:
+                fut._completed_cycle = completed
             if fut.done:
                 # This outcome fired before the checkpoint: its callback
                 # effects are already part of the restored state (metrics,

@@ -485,8 +485,8 @@ class RuntimeServer(Component):
             raise err
 
     # ------------------------------------------------------------- snapshot
-    def snapshot_state(self, fr) -> Dict[str, object]:
-        """Explicit freeze: response callbacks are *structure* (closures over
+    def snapshot_state(self) -> Dict[str, object]:
+        """Explicit protocol: response callbacks are *structure* (closures over
         the handle, the future, the routing tables) and cannot be pickled, so
         every queued/in-flight command is serialised with its context uid
         instead; restore resolves uids through the handle's call registry and
@@ -500,7 +500,7 @@ class RuntimeServer(Component):
                 ctxs[ctx.uid] = {"attempts": ctx.attempts, "key": tuple(ctx.key)}
             return ctx.uid
 
-        def freeze_cmd(cmd: PendingCommand) -> Dict[str, object]:
+        def cmd_state(cmd: PendingCommand) -> Dict[str, object]:
             return {
                 "words": list(cmd.words),
                 "key": tuple(cmd.key),
@@ -517,7 +517,7 @@ class RuntimeServer(Component):
 
         return {
             "queues": [
-                (client, [freeze_cmd(c) for c in q])
+                (client, [cmd_state(c) for c in q])
                 for client, q in self._queues.items()
             ],
             "client_rr": list(self._client_rr),
@@ -526,7 +526,7 @@ class RuntimeServer(Component):
             "dispatched_seq": dict(self._dispatched_seq),
             "last_batch": self._last_batch,
             "current": (
-                freeze_cmd(self._current) if self._current is not None else None
+                cmd_state(self._current) if self._current is not None else None
             ),
             "words_left": list(self._words_left),
             "next_word_cycle": self._next_word_cycle,
@@ -559,7 +559,7 @@ class RuntimeServer(Component):
             "ctxs": ctxs,
         }
 
-    def restore_state(self, state: Dict[str, object], th) -> None:
+    def restore_state(self, state: Dict[str, object]) -> None:
         calls = self._host_calls if self._host_calls is not None else {}
         unresolved = 0
 
@@ -590,7 +590,7 @@ class RuntimeServer(Component):
             ctx.attempts = st["attempts"]
             ctx.key = tuple(st["key"])
 
-        def thaw_cmd(d: Dict[str, object]) -> PendingCommand:
+        def rebuild_cmd(d: Dict[str, object]) -> PendingCommand:
             return PendingCommand(
                 list(d["words"]),
                 cb_for(d["ctx_uid"]) if d["has_cb"] else None,
@@ -606,7 +606,7 @@ class RuntimeServer(Component):
             )
 
         self._queues = {
-            client: deque(thaw_cmd(d) for d in cmds)
+            client: deque(rebuild_cmd(d) for d in cmds)
             for client, cmds in state["queues"]
         }
         self._client_rr = list(state["client_rr"])
@@ -616,7 +616,7 @@ class RuntimeServer(Component):
         lb = state["last_batch"]
         self._last_batch = tuple(lb) if lb is not None else None
         cur = state["current"]
-        self._current = thaw_cmd(cur) if cur is not None else None
+        self._current = rebuild_cmd(cur) if cur is not None else None
         self._words_left = list(state["words_left"])
         self._next_word_cycle = state["next_word_cycle"]
         self._lock_until = state["lock_until"]

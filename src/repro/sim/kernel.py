@@ -230,6 +230,26 @@ class ChannelQueue(Generic[T]):
         return f"ChannelQueue({self.name!r}, {len(self._items)}/{self.capacity})"
 
 
+class TxnTags:
+    """A design's AXI transaction tag counter.
+
+    One instance per simulator, handed to every component by
+    :meth:`Simulator.add`; AXI masters tag each burst with :meth:`draw`.
+    Its position is snapshot state, so two identical runs issue identical
+    tags and a restored run continues the sequence.
+    """
+
+    __slots__ = ("next",)
+
+    def __init__(self) -> None:
+        self.next = 0
+
+    def draw(self) -> int:
+        tag = self.next
+        self.next = tag + 1
+        return tag
+
+
 class Component:
     """Base class for everything that acts on each clock edge."""
 
@@ -239,6 +259,8 @@ class Component:
     _wake_hook: Optional[Callable[["Component"], None]] = None
     _ticks_executed = 0
     _cslot = -1
+    #: The owning simulator's :class:`TxnTags`, installed by Simulator.add().
+    txn_tags: Optional[TxnTags] = None
 
     #: Declares ``next_event`` constant at :data:`NEVER`: the component only
     #: ever progresses on channel traffic (pure dataflow elements such as the
@@ -356,27 +378,29 @@ class Component:
         return None
 
     #: Attribute names the default snapshot skips, on top of the scheduler
-    #: wiring (``_sched_index``/``_wake_hook``/``_cslot``).  Subclasses list
-    #: structural fields that the rebuild recreates and must not be
-    #: overwritten from a checkpoint.
+    #: wiring (``repro.snapshot.engine.SCHED_ATTRS``).  Subclasses list
+    #: structural fields below the top level (containers of callables,
+    #: references into another partition) that the rebuild recreates and a
+    #: checkpoint must neither capture nor overwrite.
     _snapshot_exclude: Tuple[str, ...] = ()
 
-    def snapshot_state(self, fr) -> Dict[str, Any]:
-        """Freeze this component's mutable state for ``repro.snapshot``.
+    def snapshot_state(self) -> Dict[str, Any]:
+        """This component's mutable state for ``repro.snapshot``.
 
-        The default captures every instance attribute through the freezer
-        (channels and infrastructure become references, callables are
-        skipped, ``_snapshot_exclude`` names are dropped); components whose
-        state embeds host-side callbacks (the runtime server) override both
-        this and :meth:`restore_state` with an explicit protocol.
+        The default captures every instance attribute except the scheduler
+        wiring, ``_snapshot_exclude`` names and top-level callables; the
+        snapshot pickles it against the design's reference table.
+        Components whose state embeds host-side callbacks (the runtime
+        server) override both this and :meth:`restore_state` with an
+        explicit protocol.
         """
-        from repro.snapshot.engine import SCHED_ATTRS  # lazy: avoid cycle
+        from repro.snapshot.engine import SCHED_ATTRS, fields_of  # lazy: avoid cycle
 
-        return fr.freeze_attrs(self, exclude=SCHED_ATTRS)
+        return fields_of(self, SCHED_ATTRS + self._snapshot_exclude)
 
-    def restore_state(self, state: Dict[str, Any], th) -> None:
-        """Apply a :meth:`snapshot_state` payload onto this live component."""
-        th.thaw_attrs(self, state)
+    def restore_state(self, state: Dict[str, Any]) -> None:
+        """Assign a :meth:`snapshot_state` payload onto this live component."""
+        vars(self).update(state)
 
 
 class Simulator:
@@ -429,6 +453,7 @@ class Simulator:
         self._dirty_channels: List[ChannelQueue[Any]] = []
         # Unified metrics: every added component/channel is adopted here.
         self.registry = registry if registry is not None else MetricRegistry()
+        self.txn_tags = TxnTags()
         self._bind_own_metrics()
         # Wall-clock self-time profile: component name -> [ns_total, calls].
         self.profile_enabled = profile
@@ -459,6 +484,7 @@ class Simulator:
 
     def add(self, component: Component) -> Component:
         self._components.append(component)
+        component.txn_tags = self.txn_tags
         self.invalidate_program()
         for chan in component.channels():
             self.register_channel(chan)

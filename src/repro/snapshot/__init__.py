@@ -1,12 +1,14 @@
 """Deterministic checkpoint/restore for Beethoven simulations.
 
-``capture(handle)`` freezes the complete state of a single-process run —
-cycle counter, every channel's contents and lag-credit bookkeeping,
-per-component model state, skip accounting, metric registry, span
-tracker, fault RNG positions and host-side command registry — into a
-versioned :class:`Snapshot`; after rebuilding the same design and
-replaying the host-side setup, ``restore(handle, snap); run(N)`` is
-bit-identical to the uninterrupted run under both scheduling modes.
+``capture(handle)`` pickles the complete state of a single-process run —
+cycle counter, AXI tag counter, every channel's contents and lag-credit
+bookkeeping, per-component model state, skip accounting, metric values,
+span tracker, fault RNG positions and host-side command outcomes — into a
+versioned :class:`Snapshot`.  Objects the rebuild recreates (simulator,
+registry, components, channels, fault state...) are written as keys of a
+reference table, so after rebuilding the same design and replaying the
+host-side setup, ``restore(handle, snap); run(N)`` is bit-identical to the
+uninterrupted run under both scheduling modes.
 
 Distributed runs checkpoint at slice barriers via
 ``DistConfig(checkpoint_every_slices=...)``, which also arms fork-engine
@@ -16,11 +18,9 @@ barrier checkpoint instead of raising terminal ``PartitionSyncTimeout``.
 
 from repro.snapshot.engine import (
     SNAPSHOT_VERSION,
-    Freezer,
     Snapshot,
     SnapshotError,
     SnapshotVersionError,
-    Thawer,
     capture,
     capture_partition_state,
     restore,
@@ -38,12 +38,10 @@ from repro.snapshot.store import (
 
 __all__ = [
     "SNAPSHOT_VERSION",
-    "Freezer",
     "Snapshot",
     "SnapshotError",
     "SnapshotVersionError",
     "StageLog",
-    "Thawer",
     "capture",
     "capture_partition_state",
     "consume_resumed_flag",

@@ -52,7 +52,7 @@ class ScriptedMaster(Component):
                     self.script.pop(0)
             elif op[0] == "r" and self.port.ar.can_push():
                 _, axi_id, addr, beats = op
-                req = ARReq(axi_id=axi_id, addr=addr, length=beats)
+                req = ARReq(axi_id=axi_id, addr=addr, length=beats, tag=self.txn_tags.draw())
                 self.mport.push_ar(cycle, req)
                 self.read_data[req.tag] = bytearray()
                 self._read_expect[req.tag] = beats * 64
@@ -60,7 +60,7 @@ class ScriptedMaster(Component):
             elif op[0] == "w" and self.port.aw.can_push():
                 _, axi_id, addr, data = op
                 beats = -(-len(data) // 64)
-                req = AWReq(axi_id=axi_id, addr=addr, length=beats)
+                req = AWReq(axi_id=axi_id, addr=addr, length=beats, tag=self.txn_tags.draw())
                 self.mport.push_aw(cycle, req)
                 self._w_queue.append((req.tag, data, 0, beats))
                 self.script.pop(0)

@@ -16,8 +16,9 @@ uninterrupted reference of the same seed.  Writes into ``--out``:
                                 bench-history regression gate
 * ``sample.ckpt``             — one snapshot file artefact
 
-and exits 1 on any divergence.  CI runs this; locally it is the snapshot
-playground.
+and exits 1 on any divergence, or unless capturing the same seeded run twice
+in one process yields byte-identical snapshot payloads.  CI runs this;
+locally it is the snapshot playground.
 """
 
 from __future__ import annotations
@@ -75,6 +76,17 @@ def _timing_pass(out: Path, reps: int) -> dict:
     }
 
 
+def _captures_identical() -> bool:
+    """Capture the same mid-flight run twice in this process; compare bytes."""
+    payloads = []
+    for _ in range(2):
+        build, handle, _futs, _dsts, _pattern = _build_memcpy(0, "selective")
+        build.design.sim.run(2 * CHUNK)
+        payloads.append(capture(handle).payload)
+        getattr(build.design.sim, "shutdown", lambda: None)()
+    return payloads[0] == payloads[1]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=3, help="seeds per mode")
@@ -114,6 +126,8 @@ def main(argv=None) -> int:
         f"  {len(records)} differentials: {kills} killed, {resumes} resumed, "
         f"{len(mismatches)} diverged, {dist_restarts} dist worker restart(s)"
     )
+    identical = _captures_identical()
+    lines.append(f"  same run captured twice: payloads identical={identical}")
 
     bench = {
         "differentials": len(records),
@@ -144,6 +158,9 @@ def main(argv=None) -> int:
         return 1
     if kills == 0:
         print("FAIL: no run was actually killed — the differential proved nothing", file=sys.stderr)
+        return 1
+    if not identical:
+        print("FAIL: two captures of the same run differ byte for byte", file=sys.stderr)
         return 1
     print(f"wrote {out}/: checkpoint-report.txt, outcomes.json, BENCH_checkpoint.json, sample.ckpt")
     return 0
