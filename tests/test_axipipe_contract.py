@@ -142,7 +142,7 @@ def test_split_bridge_matches_stock_pipe_delivery():
     """
     rng = random.Random(7)
     schedule = [
-        (rng.randrange(0, 40), ARReq(axi_id=i % 4, addr=64 * i, length=1))
+        (rng.randrange(0, 40), ARReq(axi_id=i % 4, addr=64 * i, length=1, tag=i))
         for i in range(30)
     ]
     stalls = frozenset(rng.randrange(0, 80) for _ in range(25))
@@ -163,7 +163,7 @@ def test_bridge_pops_at_most_one_item_per_channel_per_cycle():
     sim.register_channel(src)
     sim.register_channel(dst)
     for i in range(3):
-        src.push(ARReq(axi_id=i, addr=0, length=1))
+        src.push(ARReq(axi_id=i, addr=0, length=1, tag=i))
     sim.run(3)
     # The three items become visible at cycle 1 and drain one per cycle
     # (the stock pipe's ingest rate), so cycles 1 and 2 move exactly two
@@ -177,7 +177,7 @@ def _drive(sim_run, latency=4, total=160, seed=11, scheduling=None):
     """Build the pipe micro-system and advance it via ``sim_run(sim, total)``."""
     rng = random.Random(seed)
     schedule = [
-        (rng.randrange(0, total - 40), ARReq(axi_id=i % 8, addr=64 * i, length=1))
+        (rng.randrange(0, total - 40), ARReq(axi_id=i % 8, addr=64 * i, length=1, tag=i))
         for i in range(60)
     ]
     stalls = frozenset(rng.randrange(0, total) for _ in range(40))
