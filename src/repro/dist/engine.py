@@ -35,7 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dist.config import DistConfig, DistError
 from repro.dist.partition import PartitionPlan
-from repro.farm.pool import _POLL_S, multiprocessing_context
+from repro.farm.pool import _POLL_S, multiprocessing_context, stderr_tail
 from repro.sim import (
     DeadlockError,
     PartitionSyncTimeout,
@@ -646,18 +646,6 @@ class DistSimulator:
                 )
             return msg
 
-    def _stderr_tail(self, child: _Child, max_chars: int = 2000) -> str:
-        import os
-
-        try:
-            with open(child.stderr_path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                size = fh.tell()
-                fh.seek(max(0, size - max_chars))
-                return fh.read().decode("utf-8", "replace").strip()
-        except OSError:
-            return ""
-
     def _fail_partition(self, child, message, status, child_dump=None):
         if self._recovery_armed():
             raise _WorkerFailure(child, message, status, child_dump)
@@ -669,7 +657,7 @@ class DistSimulator:
         # can run to megabytes, which no log sink wants embedded in an error.
         dump = compact_state_dump(self.root.state_dump())
         info: Dict[str, Any] = {"status": status}
-        tail = self._stderr_tail(child)
+        tail = stderr_tail(child.stderr_path)
         if tail:
             info["stderr_tail"] = tail
         if child_dump:

@@ -213,6 +213,19 @@ def _worker_main(worker_id: str, inbox, outbox, stderr_path: Optional[str] = Non
         outbox.put((seq, outcome))
 
 
+def stderr_tail(path: Optional[str], max_chars: int = 2000) -> str:
+    """Last ``max_chars`` of a worker's redirected stderr, if any."""
+    if not path:
+        return ""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(0, os.SEEK_END)
+            fh.seek(max(0, fh.tell() - max_chars))
+            return fh.read().decode("utf-8", "replace").strip()
+    except OSError:
+        return ""
+
+
 class SerialPool:
     """In-process execution with the :class:`WorkerPool` interface.
 
@@ -334,20 +347,6 @@ class WorkerPool:
         return _Slot(worker_id, process, inbox, outbox, stderr_path=stderr_path)
 
     @staticmethod
-    def _stderr_tail(slot: _Slot, max_chars: int = 2000) -> str:
-        """Last ``max_chars`` of the worker's redirected stderr, if any."""
-        if not slot.stderr_path:
-            return ""
-        try:
-            with open(slot.stderr_path, "rb") as fh:
-                fh.seek(0, os.SEEK_END)
-                size = fh.tell()
-                fh.seek(max(0, size - max_chars))
-                return fh.read().decode("utf-8", "replace").strip()
-        except OSError:
-            return ""
-
-    @staticmethod
     def _discard(slot: _Slot, kill: bool = False) -> None:
         if kill and slot.process.is_alive():
             slot.process.terminate()
@@ -427,7 +426,7 @@ class WorkerPool:
                     task = tasks[slot.seq]
                     if not slot.process.is_alive():
                         # Crash mid-job: respawn the slot, retry with backoff.
-                        tail = self._stderr_tail(slot)
+                        tail = stderr_tail(slot.stderr_path)
                         if tail:
                             task.last_stderr = tail
                         self._discard(slot)

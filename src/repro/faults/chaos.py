@@ -14,9 +14,11 @@ classifies the outcome:
 
 The contract the sweep asserts: every seeded schedule terminates bounded in
 one of the first three outcomes, under both scheduling modes, and a given
-seed produces the same fault schedule and final cycle count in both.  ``run_empty_plan_differential`` additionally proves the empty plan
-is a strict no-op (stable metrics and final cycles bit-identical to a build
-with no plan at all).
+seed produces the same fault schedule and final cycle count in both.
+
+``run_empty_plan_differential`` additionally proves the empty plan is a
+strict no-op (stable metrics and final cycles bit-identical to a build with
+no plan at all).
 """
 
 from __future__ import annotations
@@ -164,6 +166,45 @@ def _outcome(scenario, mode, seed, handle, outcome, error) -> ChaosOutcome:
     )
 
 
+def build_memcpy(
+    mode: str,
+    size: int,
+    n_cores: int,
+    faults: Optional[FaultPlan] = None,
+    watchdog: Optional[WatchdogConfig] = None,
+    seed: int = 0,
+    build_args: Optional[Dict[str, object]] = None,
+):
+    """Elaborate an ``n_cores`` memcpy design for ``mode`` and stage its input.
+
+    ``dist`` modes build on a synthetic two-die device, so SLR-crossing
+    pipes exist for the partitioner to cut; ``build_args`` replaces the
+    mode's default ``BeethovenBuild`` arguments.  Allocates a ``size``-byte
+    source and one destination per core, writes the seeded pattern and
+    copies it to the device.  Returns ``(build, handle, src, dsts,
+    pattern)``.
+    """
+    from repro.core.build import BeethovenBuild
+    from repro.kernels.memcpy import memcpy_config
+    from repro.platforms import AWSF1Platform, multi_die_platform
+    from repro.runtime import FpgaHandle
+
+    build = BeethovenBuild(
+        memcpy_config(n_cores=n_cores),
+        multi_die_platform(2) if mode in DIST_MODES else AWSF1Platform(),
+        faults=faults,
+        watchdog=watchdog,
+        **(build_args if build_args is not None else _mode_build_args(mode)),
+    )
+    handle = FpgaHandle(build.design)
+    pattern = bytes((i * 131 + 17 + seed) % 256 for i in range(size))
+    src = handle.malloc(size)
+    dsts = [handle.malloc(size) for _ in range(n_cores)]
+    src.write(pattern)
+    handle.copy_to_fpga(src)
+    return build, handle, src, dsts, pattern
+
+
 def run_memcpy_chaos(
     seed: int,
     mode: str,
@@ -177,27 +218,13 @@ def run_memcpy_chaos(
     Under a ``dist`` mode the same workload runs on a synthetic multi-die
     device (so SLR-crossing pipes exist for the partitioner to cut),
     sharded over two workers."""
-    from repro.core.build import BeethovenBuild
-    from repro.kernels.memcpy import memcpy_config
-    from repro.platforms import AWSF1Platform, multi_die_platform
-    from repro.runtime import FpgaHandle
-
-    plan = plan if plan is not None else default_plan(seed)
     size, n_cores = 1024, 2
-    platform = multi_die_platform(2) if mode in DIST_MODES else AWSF1Platform()
-    build = BeethovenBuild(
-        memcpy_config(n_cores=n_cores),
-        platform,
-        faults=plan,
+    build, handle, src, dsts, pattern = build_memcpy(
+        mode, size, n_cores,
+        faults=plan if plan is not None else default_plan(seed),
         watchdog=watchdog or CHAOS_WATCHDOG,
-        **_mode_build_args(mode),
+        seed=seed,
     )
-    handle = FpgaHandle(build.design)
-    pattern = bytes((i * 131 + 17 + seed) % 256 for i in range(size))
-    src = handle.malloc(size)
-    dsts = [handle.malloc(size) for _ in range(n_cores)]
-    src.write(pattern)
-    handle.copy_to_fpga(src)
     errors: List[str] = []
     corrupt = False
     unexpected = ""
@@ -485,28 +512,10 @@ def render_chaos_report(outcomes: Sequence[ChaosOutcome]) -> str:
 # ------------------------------------------------------------ differential
 def _run_fixed_memcpy(mode: str, faults: Optional[FaultPlan]):
     """Fixed memcpy workload returning (stable metrics, final cycle, ok)."""
-    from repro.core.build import BeethovenBuild
-    from repro.kernels.memcpy import memcpy_config
-    from repro.platforms import AWSF1Platform, multi_die_platform
-    from repro.runtime import FpgaHandle
-
     size = 2048
-    if mode in DIST_MODES:
-        platform = multi_die_platform(2)
-        n_cores = 2  # sharding needs at least one core per die
-    else:
-        platform, n_cores = AWSF1Platform(), 1
-    build = BeethovenBuild(
-        memcpy_config(n_cores=n_cores),
-        platform,
-        faults=faults,
-        **_mode_build_args(mode),
-    )
-    handle = FpgaHandle(build.design)
-    src, dst = handle.malloc(size), handle.malloc(size)
-    pattern = bytes((i * 131 + 17) % 256 for i in range(size))
-    src.write(pattern)
-    handle.copy_to_fpga(src)
+    # Sharding needs at least one core per die.
+    n_cores = 2 if mode in DIST_MODES else 1
+    build, handle, src, (dst, *_), pattern = build_memcpy(mode, size, n_cores, faults)
     handle.call(
         "Memcpy", "memcpy", 0, src=src.fpga_addr, dst=dst.fpga_addr, len_bytes=size
     ).get(max_cycles=500_000)

@@ -28,8 +28,8 @@ class CommandTimeout(FaultError):
     """A command's response did not arrive within its deadline.
 
     Raised by ``ResponseHandle.get(timeout_cycles=...)`` on the host side and
-    delivered through ``CommandContext.on_error`` when the runtime server's
-    watchdog exhausts its retries.
+    settled on the command's future through ``CommandContext.fail`` when the
+    runtime server's watchdog exhausts its retries.
     """
 
     def __init__(

@@ -18,10 +18,10 @@ state) turns a completed command into a retry or a typed
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.command.rocc import RoccInstruction, RoccResponse
-from repro.faults.errors import CommandTimeout, CoreQuarantined, FaultedResponse
+from repro.faults.errors import CommandTimeout, CoreQuarantined
 from repro.obs.registry import Counter
 from repro.runtime.allocator import make_allocator
 from repro.runtime.server import CommandContext, RuntimeServer, WatchdogConfig
@@ -86,6 +86,11 @@ class ResponseHandle:
     stored error rather than returning bad data.
     """
 
+    #: Structure the replayed host recreates; a snapshot carries the outcome.
+    #: Callbacks registered on a future the snapshot restores as settled
+    #: never fire: a future settles once.
+    _snapshot_exclude = ("_handle", "_spec", "_callbacks")
+
     def __init__(self, handle: "FpgaHandle", response_spec) -> None:
         self._handle = handle
         self._spec = response_spec
@@ -93,6 +98,7 @@ class ResponseHandle:
         self._error: Optional[Exception] = None
         self._callbacks: list = []
         self.submitted_cycle = handle.design.sim.cycle
+        self._completed_cycle: Optional[int] = None
 
     def _complete(self, resp: RoccResponse) -> None:
         if self._error is None and self._response is None:
@@ -181,7 +187,16 @@ class ResponseHandle:
 
 
 class FpgaHandle:
-    """Open handle to the Beethoven runtime for one elaborated design."""
+    """Open handle to the Beethoven runtime for one elaborated design.
+
+    Its snapshot state is the allocator, the degradation bookkeeping and the
+    DMA/client counters.  Host shadow buffers (:class:`RemotePtr`) are not
+    captured: the replayed host rewrites them, and device memory is restored
+    through the memory store's component state.
+    """
+
+    #: Structure the rebuild and the replayed host recreate.
+    _snapshot_exclude = ("design", "server", "futures")
 
     def __init__(self, design, watchdog: Optional[WatchdogConfig] = None) -> None:
         self.design = design
@@ -194,25 +209,22 @@ class FpgaHandle:
         self.server = RuntimeServer(
             design.mmio,
             platform.host,
+            self,
             spans=getattr(design, "span_tracker", None),
             watchdog=wd,
             tracer=getattr(design, "tracer", None),
         )
-        self.server.on_quarantine = self._mark_degraded
         #: Cores taken out of rotation by the watchdog.
         self.degraded_cores: Set[Tuple[int, int]] = set()
         #: FaultState of the compiled FaultPlan, when one was elaborated in.
         self.faults = getattr(design, "faults", None)
         design.sim.add(self.server)
         self.dma_cycles_spent = 0
-        # uid -> {"ctx", "fut", "make_cb"} for every call() issued through
-        # this handle.  The snapshot layer serialises in-flight commands by
-        # uid; on restore (after the host-side setup has been replayed so
-        # the uids line up) it resolves them back to the live context and
-        # future and rebuilds the response callback via make_cb.
-        self._calls: Dict[int, Dict[str, object]] = {}
-        self._call_uid = 0
-        self.server._host_calls = self._calls
+        self._next_client = 0
+        #: Every future call() returned, in call order.  A snapshot names
+        #: them by position, so restoring needs a replayed host that issued
+        #: the same calls.
+        self.futures: List[ResponseHandle] = []
 
     # ------------------------------------------------------------ memory API
     def malloc(self, n_bytes: int) -> RemotePtr:
@@ -255,13 +267,10 @@ class FpgaHandle:
         allocations never conflict) and are served round-robin by the
         runtime server's command arbitration.
         """
-        self._next_client = getattr(self, "_next_client", 0) + 1
+        self._next_client += 1
         return ClientHandle(self, self._next_client, name or f"client{self._next_client}")
 
     # ------------------------------------------------------------ degradation
-    def _mark_degraded(self, key: Tuple[int, int]) -> None:
-        self.degraded_cores.add(key)
-
     def _route_core(self, system, core_idx: int) -> int:
         """The preferred core, or the next healthy one of the same system."""
         n = len(system.cores)
@@ -327,52 +336,30 @@ class FpgaHandle:
         )
         if io is None:
             raise KeyError(f"no IO {io_name!r} on system {system_name!r}")
-        handle = ResponseHandle(self, io.response_spec)
-        ctx = CommandContext(
-            key=(system.system_id, core_idx),
-            label=io_name,
-            retryable=_retryable,
-        )
-        ctx.resubmit = lambda: self._submit_command(
-            system, io_index, io, core_idx, dict(fields), handle, ctx, _client,
-            tenant=_tenant, batch=_batch,
-        )
-        ctx.on_error = handle._fail
-        self._call_uid += 1
-        ctx.uid = self._call_uid
-        self._calls[ctx.uid] = {
-            "ctx": ctx,
-            "fut": handle,
-            "make_cb": lambda: self._make_on_response(
-                system, io_index, io, core_idx, dict(fields), handle, ctx,
-                _client, _tenant, _batch,
-            ),
-        }
+        chunks = io.command_spec.pack(fields, design.platform.addr_bits)
+        fut = ResponseHandle(self, io.response_spec)
+        self.futures.append(fut)
         self._submit_command(
-            system, io_index, io, core_idx, dict(fields), handle, ctx, _client,
-            tenant=_tenant, batch=_batch,
+            CommandContext(
+                self, fut, (system.system_id, core_idx), io_name, _retryable,
+                uid=len(self.futures), system_id=system.system_id,
+                io_index=io_index, core_idx=core_idx, chunks=chunks,
+                client=_client, tenant=_tenant, batch=_batch,
+            )
         )
-        return handle
+        return fut
 
-    def _submit_command(
-        self, system, io_index, io, core_idx, fields, handle, ctx, client,
-        tenant: str = "", batch: Optional[int] = None,
-    ) -> None:
+    def _submit_command(self, ctx: CommandContext) -> None:
         """Issue (or re-issue) one command onto the next healthy core."""
         design = self.design
-        routed = self._route_core(system, core_idx)
-        ctx.key = (system.system_id, routed)
-        chunks = io.command_spec.pack(fields, design.platform.addr_bits)
-        on_response = self._make_on_response(
-            system, io_index, io, core_idx, fields, handle, ctx, client,
-            tenant, batch,
-        )
-        for i, (rs1, rs2) in enumerate(chunks):
-            last = i == len(chunks) - 1
+        routed = self._route_core(design.systems[ctx.system_id], ctx.core_idx)
+        ctx.key = (ctx.system_id, routed)
+        for i, (rs1, rs2) in enumerate(ctx.chunks):
+            last = i == len(ctx.chunks) - 1
             inst = RoccInstruction(
-                system_id=system.system_id,
+                system_id=ctx.system_id,
                 core_id=routed,
-                funct7=io_index,
+                funct7=ctx.io_index,
                 rs1=rs1,
                 rs2=rs2,
                 xd=last,  # only the completing chunk expects a response
@@ -380,123 +367,11 @@ class FpgaHandle:
             )
             self.server.submit(
                 inst,
-                on_response if last else None,
+                ctx if last else None,
                 design.sim.cycle,
-                client=client,
-                label=ctx.label,
-                ctx=ctx if last else None,
-                tenant=tenant,
-                batch=batch,
+                client=ctx.client,
+                batch=ctx.batch,
             )
-
-    def _make_on_response(
-        self, system, io_index, io, core_idx, fields, handle, ctx, client,
-        tenant: str = "", batch: Optional[int] = None,
-    ) -> "Callable[[RoccResponse], None]":
-        """Response callback for one logical command.
-
-        Factored out of :meth:`_submit_command` so snapshot restore can
-        rebuild a behaviourally identical callback for a command that was in
-        flight at capture time: every closed-over value is retry-invariant
-        (the routed core only affects the already-encoded command words and
-        ``ctx.key``, both of which the snapshot carries explicitly).
-        """
-        design = self.design
-
-        def on_response(resp: RoccResponse) -> None:
-            faults = self.faults
-            if faults is not None:
-                poison = faults.take_poison(ctx.key)
-                if poison:
-                    # Detected corruption: the data this response summarises
-                    # is suspect.  Re-run if allowed, else fail typed.
-                    if (
-                        ctx.retryable
-                        and ctx.attempts - 1 < self.server.watchdog.max_retries
-                    ):
-                        ctx.attempts += 1
-                        self.server.retries += 1
-                        try:
-                            self._submit_command(
-                                system, io_index, io, core_idx, fields,
-                                handle, ctx, client, tenant=tenant, batch=batch,
-                            )
-                        except Exception as exc:
-                            handle._fail(exc)
-                        return
-                    handle._fail(
-                        FaultedResponse(
-                            f"command {ctx.label!r} on core {ctx.key} completed "
-                            f"with {len(poison)} detected data fault(s)",
-                            key=ctx.key,
-                            attempts=ctx.attempts,
-                            events=poison,
-                        )
-                    )
-                    return
-                if ctx.attempts > 1:
-                    faults.note_recovery(
-                        design.sim.cycle,
-                        "runtime/handle",
-                        f"{ctx.label} ok after {ctx.attempts} attempts",
-                    )
-            handle._note_completion_cycle(design.sim.cycle)
-            handle._complete(resp)
-
-        return on_response
-
-    # ----------------------------------------------------------- snapshot
-    def snapshot_state(self) -> Dict[str, object]:
-        """Host-side state for ``repro.snapshot``: allocator, degradation
-        bookkeeping, and the outcome of every command issued so far.
-
-        Futures are addressed by command uid — restore runs after the host
-        setup has been *replayed* against a rebuilt design (recreating the
-        same uids in the same order) and overwrites each future's outcome in
-        place.  Host shadow buffers (:class:`RemotePtr`) are not captured;
-        the replay rewrites them, and device memory is restored through the
-        memory store's component state.
-        """
-        calls = {}
-        for uid, rec in self._calls.items():
-            fut = rec["fut"]
-            calls[uid] = (
-                fut._response,
-                fut._error,
-                fut.submitted_cycle,
-                getattr(fut, "_completed_cycle", None),
-            )
-        return {
-            "allocator": self.allocator,
-            "degraded_cores": sorted(self.degraded_cores),
-            "dma_cycles_spent": self.dma_cycles_spent,
-            "next_client": getattr(self, "_next_client", 0),
-            "calls": calls,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        self.allocator = state["allocator"]
-        self.degraded_cores.clear()
-        self.degraded_cores.update(tuple(k) for k in state["degraded_cores"])
-        self.dma_cycles_spent = state["dma_cycles_spent"]
-        if state["next_client"]:
-            self._next_client = state["next_client"]
-        for uid, (response, error, submitted, completed) in state["calls"].items():
-            rec = self._calls.get(uid)
-            if rec is None:
-                continue
-            fut = rec["fut"]
-            fut._response = response
-            fut._error = error
-            fut.submitted_cycle = submitted
-            if completed is not None:
-                fut._completed_cycle = completed
-            if fut.done:
-                # This outcome fired before the checkpoint: its callback
-                # effects are already part of the restored state (metrics,
-                # counters), so replay-registered callbacks must not fire
-                # again.
-                fut._callbacks = []
 
     # ------------------------------------------------------------- sim plumbing
     def run_until(self, predicate, max_cycles: int = 10_000_000) -> int:

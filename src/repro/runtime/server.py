@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.command.rocc import RoccInstruction, RoccResponse
 from repro.command.router import MmioFrontend
-from repro.faults.errors import CommandTimeout
+from repro.faults.errors import CommandTimeout, FaultedResponse
 from repro.obs.registry import Counter, Histogram
 from repro.platforms.base import HostInterface
 from repro.sim import NEVER, Component
@@ -61,47 +61,101 @@ class WatchdogConfig:
 
 @dataclass
 class CommandContext:
-    """Watchdog-facing identity of one logical host command.
+    """One logical host command, as plain data.
 
-    The host handle creates one per command it wants protected and threads it
-    through :meth:`RuntimeServer.submit`.  ``resubmit`` re-issues the command
-    (possibly onto a different core — the handle owns routing); ``on_error``
-    receives the terminal typed error instead of it escaping into the
-    simulation loop.
+    :meth:`FpgaHandle.call` creates one per command and the server carries
+    it through its queues, waiter FIFOs and retry heap.  It holds no
+    callables: the issuing handle and the command's future are objects the
+    snapshot reference table names, so a server holding commands pickles
+    as it is.  ``key`` is the core the command was last routed to;
+    ``core_idx`` is the core the caller asked for, where rerouting restarts.
     """
 
+    handle: Any  # the issuing FpgaHandle
+    future: Any  # the command's ResponseHandle
     key: Tuple[int, int]
     label: str = ""
     retryable: bool = True
     attempts: int = 1
-    resubmit: Optional[Callable[[], None]] = None
-    on_error: Optional[Callable[[Exception], None]] = None
-    #: Command uid assigned by the issuing handle (0 = unregistered).  The
-    #: snapshot layer serialises in-flight commands by uid and resolves them
-    #: back to live contexts/callbacks through the handle's call registry.
+    #: Position of ``future`` in the handle's call order (1-based).
     uid: int = 0
+    system_id: int = 0
+    io_index: int = 0
+    core_idx: int = 0
+    #: The command fields packed into (rs1, rs2) chunks.
+    chunks: List[Tuple[int, int]] = field(default_factory=list)
+    client: int = 0
+    tenant: str = ""
+    batch: Optional[int] = None
+
+    def resubmit(self) -> None:
+        """Re-issue the command onto the next healthy core."""
+        self.handle._submit_command(self)
+
+    def fail(self, exc: Exception) -> None:
+        """Settle the future with a terminal typed error."""
+        self.future._fail(exc)
+
+    def respond(self, resp: RoccResponse) -> None:
+        """Settle the command with its response.
+
+        A response whose data the fault layer poisoned (detected
+        corruption) is retried while the watchdog's retry budget lasts and
+        fails typed after that, never returning suspect data.
+        """
+        handle = self.handle
+        faults = handle.faults
+        if faults is not None:
+            poison = faults.take_poison(self.key)
+            if poison:
+                if self.retryable and self.attempts - 1 < handle.server.watchdog.max_retries:
+                    self.attempts += 1
+                    handle.server.retries += 1
+                    try:
+                        self.resubmit()
+                    except Exception as exc:
+                        self.fail(exc)
+                    return
+                self.fail(
+                    FaultedResponse(
+                        f"command {self.label!r} on core {self.key} completed "
+                        f"with {len(poison)} detected data fault(s)",
+                        key=self.key,
+                        attempts=self.attempts,
+                        events=poison,
+                    )
+                )
+                return
+            if self.attempts > 1:
+                faults.note_recovery(
+                    handle.design.sim.cycle,
+                    "runtime/handle",
+                    f"{self.label} ok after {self.attempts} attempts",
+                )
+        self.future._note_completion_cycle(handle.design.sim.cycle)
+        self.future._complete(resp)
 
 
 @dataclass
 class _Waiter:
     """One in-flight command awaiting its response."""
 
-    callback: Callable[[RoccResponse], None]
+    ctx: CommandContext
     span_id: int = 0
     deadline: float = NEVER
-    ctx: Optional[CommandContext] = None
 
 
 @dataclass
 class PendingCommand:
     words: List[int]
-    on_response: Optional[Callable[[RoccResponse], None]]
     key: Tuple[int, int]  # (system_id, core_id)
     enqueue_cycle: int = 0
     client: int = 0
     dispatch_start: Optional[int] = None
     dispatch_end: Optional[int] = None
     span_id: int = 0  # observability root span (0 = untracked)
+    #: The command record; only the completing chunk of a multi-chunk
+    #: command carries it (and expects a response).
     ctx: Optional[CommandContext] = None
     #: Per-client submission sequence number (FIFO-per-client guarantee).
     seq: int = 0
@@ -113,10 +167,14 @@ class PendingCommand:
 class RuntimeServer(Component):
     """Serialises host commands onto the MMIO frontend and polls responses."""
 
+    #: Platform and watchdog configuration: set by the rebuild, not state.
+    _snapshot_exclude = ("host", "watchdog")
+
     def __init__(
         self,
         mmio: MmioFrontend,
         host: HostInterface,
+        handle,
         name: str = "server",
         spans=None,
         watchdog: Optional[WatchdogConfig] = None,
@@ -125,6 +183,9 @@ class RuntimeServer(Component):
         super().__init__(name)
         self.mmio = mmio
         self.host = host
+        #: The FpgaHandle this server runs for: quarantined cores join its
+        #: degraded set, and its futures are named in snapshots.
+        self.handle = handle
         # Optional CommandSpanTracker: assigns IDs to host commands here and
         # follows them through dispatch, delivery, execution, and response.
         self.spans = spans
@@ -158,8 +219,6 @@ class RuntimeServer(Component):
         self._strikes: Dict[Tuple[int, int], int] = {}
         #: Cores the watchdog has given up on; the handle reroutes around them.
         self.quarantined: Set[Tuple[int, int]] = set()
-        #: Host hook invoked (once per core) at quarantine time.
-        self.on_quarantine: Optional[Callable[[Tuple[int, int]], None]] = None
         # Statistics for the contention analysis.  Typed metrics compare and
         # accumulate like ints, so call sites and tests read them unchanged.
         self.commands_sent = Counter()
@@ -183,13 +242,6 @@ class RuntimeServer(Component):
         # Per-client lock-wait samples (enqueue -> dispatch), for fairness
         # analysis of the round-robin arbiter.
         self.client_lock_waits: Dict[int, List[int]] = {}
-        # uid -> {"ctx", "fut", "make_cb"}; installed by the owning
-        # FpgaHandle so snapshot restore can resolve command uids back to
-        # live contexts and rebuild response callbacks.
-        self._host_calls: Optional[Dict[int, Dict[str, object]]] = None
-        #: Snapshot-restore bookkeeping: uids the last restore could not
-        #: resolve against the call registry (0 on a faithful restore).
-        self._snapshot_unresolved = 0
 
     @property
     def metric_path(self) -> str:
@@ -216,21 +268,26 @@ class RuntimeServer(Component):
         if self.spans is not None:
             self.spans.register_metrics(scope)
 
+    def snapshot_refs(self) -> Dict[Any, Any]:
+        """The handle and its futures, which command records point at."""
+        refs: Dict[Any, Any] = {
+            ("fut", i): fut for i, fut in enumerate(self.handle.futures, 1)
+        }
+        refs["handle"] = self.handle
+        return refs
+
     # ------------------------------------------------------------- host API
     def submit(
         self,
         inst: RoccInstruction,
-        on_response: Optional[Callable[[RoccResponse], None]],
+        ctx: Optional[CommandContext],
         cycle_hint: int = 0,
         client: int = 0,
-        label: Optional[str] = None,
-        ctx: Optional[CommandContext] = None,
-        tenant: str = "",
         batch: Optional[int] = None,
     ) -> None:
+        """Queue one command chunk; ``ctx`` rides the completing chunk."""
         cmd = PendingCommand(
             inst.encode_words(),
-            on_response,
             (inst.system_id, inst.core_id),
             cycle_hint,
             client,
@@ -238,12 +295,10 @@ class RuntimeServer(Component):
             batch=batch,
         )
         self._client_seq[client] = cmd.seq = self._client_seq.get(client, 0) + 1
-        # Only the completing chunk of a multi-chunk command carries the
-        # response callback; that chunk is the one the span follows.
-        if self.spans is not None and on_response is not None:
+        # The completing chunk is the one the span follows.
+        if self.spans is not None and ctx is not None:
             cmd.span_id = self.spans.command_submitted(
-                cycle_hint, cmd.key, client, label or f"io{inst.funct7}",
-                tenant=tenant,
+                cycle_hint, cmd.key, client, ctx.label, tenant=ctx.tenant
             )
         if client not in self._queues:
             self._queues[client] = deque()
@@ -363,12 +418,12 @@ class RuntimeServer(Component):
                 cmd.dispatch_end = cycle
                 if self.spans is not None and cmd.span_id:
                     self.spans.dispatch_end(cycle, cmd.span_id, cmd.key)
-                if cmd.on_response is not None:
+                if cmd.ctx is not None:
                     deadline: float = NEVER
                     if self.watchdog.enabled:
                         deadline = cycle + self.watchdog.timeout_cycles
                     self._waiters.setdefault(cmd.key, deque()).append(
-                        _Waiter(cmd.on_response, cmd.span_id, deadline, cmd.ctx)
+                        _Waiter(cmd.ctx, cmd.span_id, deadline)
                     )
                 self.commands_sent += 1
                 self._last_batch = (
@@ -399,7 +454,7 @@ class RuntimeServer(Component):
                         self.spans.command_completed(cycle, waiter.span_id)
                     if self._strikes:
                         self._strikes.pop(key, None)  # core proved healthy
-                    waiter.callback(resp)
+                    waiter.ctx.respond(resp)
                 else:
                     # A command we already timed out answered after all.
                     self.late_responses += 1
@@ -429,10 +484,7 @@ class RuntimeServer(Component):
             try:
                 ctx.resubmit()
             except Exception as exc:  # e.g. CoreQuarantined from rerouting
-                if ctx.on_error is not None:
-                    ctx.on_error(exc)
-                else:
-                    raise
+                ctx.fail(exc)
 
     def _check_deadlines(self, cycle: int) -> None:
         for key, waiters in self._waiters.items():
@@ -444,13 +496,12 @@ class RuntimeServer(Component):
         strikes = self._strikes.get(key, 0) + 1
         self._strikes[key] = strikes
         ctx = waiter.ctx
-        label = ctx.label if ctx is not None else ""
         if self.tracer is not None:
             self.tracer.record(
                 cycle,
                 "watchdog",
                 "timeout",
-                {"core": key, "label": label, "strikes": strikes},
+                {"core": key, "label": ctx.label, "strikes": strikes},
             )
         if self.spans is not None and waiter.span_id:
             self.spans.command_completed(cycle, waiter.span_id)
@@ -459,199 +510,22 @@ class RuntimeServer(Component):
             self.quarantines += 1
             if self.tracer is not None:
                 self.tracer.record(cycle, "watchdog", "quarantine", {"core": key})
-            if self.on_quarantine is not None:
-                self.on_quarantine(key)
-        if (
-            ctx is not None
-            and ctx.retryable
-            and ctx.resubmit is not None
-            and ctx.attempts - 1 < self.watchdog.max_retries
-        ):
+            self.handle.degraded_cores.add(key)
+        if ctx.retryable and ctx.attempts - 1 < self.watchdog.max_retries:
             self._retry_seq += 1
             heapq.heappush(
                 self._retry_heap,
                 (cycle + self.watchdog.backoff_cycles(ctx.attempts), self._retry_seq, ctx),
             )
             return
-        err = CommandTimeout(
-            f"command {label or '<untracked>'} on core {key} timed out at cycle "
-            f"{cycle} after {ctx.attempts if ctx else 1} attempt(s)",
-            key=key,
-            attempts=ctx.attempts if ctx else 1,
-        )
-        if ctx is not None and ctx.on_error is not None:
-            ctx.on_error(err)
-        else:
-            raise err
-
-    # ------------------------------------------------------------- snapshot
-    def snapshot_state(self) -> Dict[str, object]:
-        """Explicit protocol: response callbacks are *structure* (closures over
-        the handle, the future, the routing tables) and cannot be pickled, so
-        every queued/in-flight command is serialised with its context uid
-        instead; restore resolves uids through the handle's call registry and
-        rebuilds behaviourally identical callbacks."""
-        ctxs: Dict[int, Dict[str, object]] = {}
-
-        def note(ctx: Optional[CommandContext]) -> int:
-            if ctx is None:
-                return 0
-            if ctx.uid:
-                ctxs[ctx.uid] = {"attempts": ctx.attempts, "key": tuple(ctx.key)}
-            return ctx.uid
-
-        def cmd_state(cmd: PendingCommand) -> Dict[str, object]:
-            return {
-                "words": list(cmd.words),
-                "key": tuple(cmd.key),
-                "enqueue_cycle": cmd.enqueue_cycle,
-                "client": cmd.client,
-                "dispatch_start": cmd.dispatch_start,
-                "dispatch_end": cmd.dispatch_end,
-                "span_id": cmd.span_id,
-                "seq": cmd.seq,
-                "batch": cmd.batch,
-                "ctx_uid": note(cmd.ctx),
-                "has_cb": cmd.on_response is not None,
-            }
-
-        return {
-            "queues": [
-                (client, [cmd_state(c) for c in q])
-                for client, q in self._queues.items()
-            ],
-            "client_rr": list(self._client_rr),
-            "rr_pos": self._rr_pos,
-            "client_seq": dict(self._client_seq),
-            "dispatched_seq": dict(self._dispatched_seq),
-            "last_batch": self._last_batch,
-            "current": (
-                cmd_state(self._current) if self._current is not None else None
-            ),
-            "words_left": list(self._words_left),
-            "next_word_cycle": self._next_word_cycle,
-            "lock_until": self._lock_until,
-            "next_poll": self._next_poll,
-            "resp_words": list(self._resp_words),
-            "waiters": [
-                (
-                    key,
-                    [
-                        {
-                            "span_id": w.span_id,
-                            "deadline": w.deadline,
-                            "ctx_uid": note(w.ctx),
-                        }
-                        for w in ws
-                    ],
-                )
-                for key, ws in self._waiters.items()
-            ],
-            "retry_heap": [
-                (ready, rseq, note(ctx)) for ready, rseq, ctx in self._retry_heap
-            ],
-            "retry_seq": self._retry_seq,
-            "strikes": dict(self._strikes),
-            "quarantined": sorted(self.quarantined),
-            "client_lock_waits": {
-                client: list(v) for client, v in self.client_lock_waits.items()
-            },
-            "ctxs": ctxs,
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        calls = self._host_calls if self._host_calls is not None else {}
-        unresolved = 0
-
-        def ctx_for(uid: int) -> Optional[CommandContext]:
-            nonlocal unresolved
-            if not uid:
-                return None
-            rec = calls.get(uid)
-            if rec is None:
-                unresolved += 1
-                return None
-            return rec["ctx"]
-
-        def cb_for(uid: int) -> Callable[[RoccResponse], None]:
-            nonlocal unresolved
-            rec = calls.get(uid) if uid else None
-            if rec is None:
-                unresolved += 1
-                return lambda resp: None
-            return rec["make_cb"]()
-
-        for uid, st in state["ctxs"].items():
-            rec = calls.get(uid)
-            if rec is None:
-                unresolved += 1
-                continue
-            ctx = rec["ctx"]
-            ctx.attempts = st["attempts"]
-            ctx.key = tuple(st["key"])
-
-        def rebuild_cmd(d: Dict[str, object]) -> PendingCommand:
-            return PendingCommand(
-                list(d["words"]),
-                cb_for(d["ctx_uid"]) if d["has_cb"] else None,
-                tuple(d["key"]),
-                d["enqueue_cycle"],
-                d["client"],
-                d["dispatch_start"],
-                d["dispatch_end"],
-                d["span_id"],
-                ctx_for(d["ctx_uid"]),
-                d["seq"],
-                d["batch"],
+        ctx.fail(
+            CommandTimeout(
+                f"command {ctx.label} on core {key} timed out at cycle "
+                f"{cycle} after {ctx.attempts} attempt(s)",
+                key=key,
+                attempts=ctx.attempts,
             )
-
-        self._queues = {
-            client: deque(rebuild_cmd(d) for d in cmds)
-            for client, cmds in state["queues"]
-        }
-        self._client_rr = list(state["client_rr"])
-        self._rr_pos = state["rr_pos"]
-        self._client_seq = dict(state["client_seq"])
-        self._dispatched_seq = dict(state["dispatched_seq"])
-        lb = state["last_batch"]
-        self._last_batch = tuple(lb) if lb is not None else None
-        cur = state["current"]
-        self._current = rebuild_cmd(cur) if cur is not None else None
-        self._words_left = list(state["words_left"])
-        self._next_word_cycle = state["next_word_cycle"]
-        self._lock_until = state["lock_until"]
-        self._next_poll = state["next_poll"]
-        self._resp_words = list(state["resp_words"])
-        self._waiters = {
-            tuple(key): deque(
-                _Waiter(
-                    cb_for(w["ctx_uid"]),
-                    w["span_id"],
-                    w["deadline"],
-                    ctx_for(w["ctx_uid"]),
-                )
-                for w in ws
-            )
-            for key, ws in state["waiters"]
-        }
-        # A retry without a resolvable context cannot be re-issued; drop it
-        # (counted in _snapshot_unresolved) rather than crash the restore.
-        heap = []
-        for ready, rseq, uid in state["retry_heap"]:
-            ctx = ctx_for(uid)
-            if ctx is not None:
-                heap.append((ready, rseq, ctx))
-        heapq.heapify(heap)
-        self._retry_heap = heap
-        self._retry_seq = state["retry_seq"]
-        self._strikes = {tuple(k): v for k, v in state["strikes"].items()}
-        self.quarantined.clear()
-        self.quarantined.update(tuple(k) for k in state["quarantined"])
-        self.client_lock_waits.clear()
-        self.client_lock_waits.update(
-            {client: list(v) for client, v in state["client_lock_waits"].items()}
         )
-        self._snapshot_unresolved = unresolved
 
     # ---------------------------------------------------------- diagnostics
     def debug_state(self):
@@ -668,8 +542,8 @@ class RuntimeServer(Component):
                 str(key): [
                     {
                         "deadline": (None if w.deadline == NEVER else int(w.deadline)),
-                        "label": w.ctx.label if w.ctx else "",
-                        "attempts": w.ctx.attempts if w.ctx else 1,
+                        "label": w.ctx.label,
+                        "attempts": w.ctx.attempts,
                     }
                     for w in waiters
                 ]

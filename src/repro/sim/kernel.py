@@ -377,30 +377,21 @@ class Component:
         """
         return None
 
-    #: Attribute names the default snapshot skips, on top of the scheduler
-    #: wiring (``repro.snapshot.engine.SCHED_ATTRS``).  Subclasses list
-    #: structural fields below the top level (containers of callables,
-    #: references into another partition) that the rebuild recreates and a
-    #: checkpoint must neither capture nor overwrite.
+    #: Attribute names a snapshot skips, on top of the scheduler wiring
+    #: (``repro.snapshot.engine.SCHED_ATTRS``) and top-level callables.
+    #: Subclasses list configuration and structural fields below the top
+    #: level (containers of callables, references into another partition)
+    #: that the rebuild recreates and a checkpoint must neither capture nor
+    #: overwrite.
     _snapshot_exclude: Tuple[str, ...] = ()
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        """This component's mutable state for ``repro.snapshot``.
-
-        The default captures every instance attribute except the scheduler
-        wiring, ``_snapshot_exclude`` names and top-level callables; the
-        snapshot pickles it against the design's reference table.
-        Components whose state embeds host-side callbacks (the runtime
-        server) override both this and :meth:`restore_state` with an
-        explicit protocol.
-        """
-        from repro.snapshot.engine import SCHED_ATTRS, fields_of  # lazy: avoid cycle
-
-        return fields_of(self, SCHED_ATTRS + self._snapshot_exclude)
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Assign a :meth:`snapshot_state` payload onto this live component."""
-        vars(self).update(state)
+    def snapshot_refs(self) -> Dict[Any, Any]:
+        """Objects outside the simulator that this component's state points
+        at and the rebuild recreates, keyed for the snapshot reference
+        table; a snapshot captures and restores their fields too.  The
+        default names none; the runtime server names its host handle and
+        the handle's futures."""
+        return {}
 
 
 class Simulator:

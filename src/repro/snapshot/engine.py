@@ -9,22 +9,23 @@ run(N)`` is bit-identical — cycles, stable metric dumps, fault fingerprints
 
 The state is one stdlib :mod:`pickle` stream written against a *reference
 table*: every object the rebuild recreates — the simulator, its registry and
-tracer, the span tracker, the fault state and plan, the host handle, each
-registry-owned Counter/Gauge/Histogram (keyed by metric name) and every
-component and channel (keyed by index) — is written as its key by
-``persistent_id`` and resolved against the rebuilt skeleton by
-``persistent_load``.  Everything else (in-flight AXI beats, DRAM column
-requests, queues, RNG positions, errors parked in futures) is pickled by
-value, so pickle's memo keeps aliases intact — a DRAM bank reached both
-through ``controller.banks[i]`` and a scheduler entry comes back as one
-object — and restore simply assigns the unpickled fields onto the live
-objects.
+tracer, the span tracker, the fault state and plan, each registry-owned
+Counter/Gauge/Histogram (keyed by metric name), every component and channel
+(keyed by index) and what components name through ``snapshot_refs()`` (the
+runtime server's host handle and its futures, keyed by call order) — is
+written as its key by ``persistent_id`` and resolved against the rebuilt
+skeleton by ``persistent_load``.  Everything else (in-flight AXI beats, DRAM
+column requests, queued host command records, RNG positions, errors parked
+in futures) is pickled by value, so pickle's memo keeps aliases intact — a
+DRAM bank reached both through ``controller.banks[i]`` and a scheduler entry
+comes back as one object — and restore simply assigns the unpickled fields
+onto the live objects.
 
 Two rules follow from restoring by assignment:
 
 * callables are structure.  A component's top-level callable attributes
-  (an instance ``tick_program`` patch, a host callback) are left out of its
-  state; a method bound to a table object (a scratchpad memory's
+  (an instance ``tick_program`` patch) are left out of its state; a
+  method bound to a table object (a scratchpad memory's
   ``on_activity = owner.request_wake``) pickles as a reference; any other
   callable *below* the top level raises :class:`SnapshotError`, so a model
   that parks structure in a container must name that field in
@@ -50,7 +51,7 @@ from repro.obs.registry import Counter, Histogram
 #: snapshot's version participates in farm checkpoint fingerprints, so a
 #: version bump silently invalidates stale checkpoint files instead of
 #: restoring garbage into a newer model.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 class SnapshotError(RuntimeError):
@@ -83,6 +84,20 @@ def fields_of(obj: Any, skip: tuple = ()) -> Dict[str, Any]:
         for name, value in vars(obj).items()
         if name not in skip and not isinstance(value, CALLABLE_TYPES)
     }
+
+
+def _state_of(obj: Any) -> Dict[str, Any]:
+    """What a snapshot carries for a component or a host object."""
+    return fields_of(obj, SCHED_ATTRS + obj._snapshot_exclude)
+
+
+def _component_refs(sim: Any) -> Dict[Any, Any]:
+    """Key -> object for what the components name (the host handle and
+    its futures, through the runtime server)."""
+    refs: Dict[Any, Any] = {}
+    for comp in sim._components:
+        refs.update(comp.snapshot_refs())
+    return refs
 
 
 def _assign(obj: Any, fields: Optional[Dict[str, Any]]) -> None:
@@ -122,7 +137,8 @@ class _Unpickler(pickle.Unpickler):
         except KeyError:
             raise SnapshotError(
                 f"snapshot references unknown {key!r} (skeleton mismatch — "
-                "was the design rebuilt with the same config?)"
+                "was the design rebuilt with the same config and the same "
+                "host calls replayed?)"
             ) from None
 
 
@@ -140,6 +156,7 @@ def _ref_table(sim: Any, **roots: Any) -> Dict[Any, Any]:
         table[("comp", i)] = comp
     for i, chan in enumerate(sim._channels):
         table[("chan", i)] = chan
+    table.update(_component_refs(sim))
     return table
 
 
@@ -195,7 +212,10 @@ def _sim_state(sim: Any) -> Dict[str, Any]:
             )
             for ch in sim._channels
         ],
-        "components": [comp.snapshot_state() for comp in sim._components],
+        "components": [_state_of(comp) for comp in sim._components],
+        # Each object is written as its table key, so a restore whose
+        # replay lacks one fails to resolve it.
+        "refs": [(obj, _state_of(obj)) for obj in _component_refs(sim).values()],
         # Bound views are recomputed live; owned metrics carry raw values
         # (the metric objects themselves are table references).
         "metrics": {
@@ -216,13 +236,22 @@ def _apply_sim_state(sim: Any, state: Dict[str, Any]) -> None:
             f"{len(sim._channels)} (or names differ) — rebuild with the "
             "identical config before restoring"
         )
+    restored = {id(obj) for obj, _ in state["refs"]}
+    extra = [key for key, obj in _component_refs(sim).items() if id(obj) not in restored]
+    if extra:
+        raise SnapshotError(
+            f"the snapshot lacks {extra}: the host issued calls the "
+            "captured run had not"
+        )
     # Discard the tick program *before* touching component state:
     # invalidation flushes per-slot tick counts into the components, which
     # must not land on top of restored counters.  The next run() rebuilds
     # it, so tick-program closures capture the restored containers.
     sim.invalidate_program()
     for comp, comp_state in zip(sim._components, state["components"]):
-        comp.restore_state(comp_state)
+        vars(comp).update(comp_state)
+    for obj, obj_state in state["refs"]:
+        vars(obj).update(obj_state)
     for ch, (items, staged, pops, pushed, popped, occupancy, observed) in zip(
         sim._channels, state["channels"]
     ):
@@ -274,7 +303,6 @@ def _design_table(handle: Any) -> Dict[Any, Any]:
     faults = getattr(design, "faults", None)
     return _ref_table(
         design.sim,
-        handle=handle,
         spans=getattr(design, "span_tracker", None),
         faults=faults,
         plan=faults.plan if faults is not None else None,
@@ -303,7 +331,6 @@ def capture(handle: Any) -> Snapshot:
         "spans": fields_of(spans) if spans is not None else None,
         "faults": fields_of(faults) if faults is not None else None,
         "tracer": fields_of(sim.tracer) if sim.tracer is not None else None,
-        "host": handle.snapshot_state(),
     }
     payload = _dumps(state, _design_table(handle), sim)
     return Snapshot(SNAPSHOT_VERSION, sim.cycle, payload, {"scheduling": sim.scheduling})
@@ -314,9 +341,9 @@ def restore(handle: Any, snap: Snapshot) -> None:
 
     The caller must have rebuilt the design with the identical config and
     replayed the host-side setup (allocations, writes, ``call()``
-    submissions) so the command registry lines up; the snapshot then
-    overwrites every mutable field, after which ``run(N)`` continues
-    bit-identically to the uninterrupted execution.
+    submissions) so its futures line up with the captured run's; the
+    snapshot then overwrites every mutable field, after which ``run(N)``
+    continues bit-identically to the uninterrupted execution.
     """
     if snap.version != SNAPSHOT_VERSION:
         raise SnapshotVersionError(
@@ -329,7 +356,6 @@ def restore(handle: Any, snap: Snapshot) -> None:
     _assign(getattr(design, "faults", None), state["faults"])
     _assign(getattr(design, "span_tracker", None), state["spans"])
     _assign(sim.tracer, state["tracer"])
-    handle.restore_state(state["host"])
 
 
 # ============================================================== dist workers

@@ -29,7 +29,7 @@ from repro.faults.chaos import (
     DIST_MODES,
     MODES,
     _classify,
-    _mode_build_args,
+    build_memcpy,
     default_plan,
 )
 from repro.faults.errors import FaultError
@@ -55,18 +55,14 @@ def _build_memcpy(seed: int, mode: str, dist_checkpoint_every: int = 0):
 
     This function *is* the deterministic rebuild+replay the snapshot
     restore contract requires: calling it twice with the same arguments
-    produces identical skeletons and identical command uids.
+    produces identical skeletons and the same futures in call order.
     """
-    from repro.core.build import BeethovenBuild
-    from repro.kernels.memcpy import memcpy_config
-    from repro.platforms import AWSF1Platform, multi_die_platform
-    from repro.runtime import FpgaHandle
-
+    build_args: Optional[Dict[str, Any]] = None
     if mode in DIST_MODES:
         from repro.dist import DistConfig
 
         _, _, engine = mode.partition(":")
-        build_args: Dict[str, Any] = {
+        build_args = {
             "distributed": DistConfig(
                 n_workers=2,
                 engine=engine or "auto",
@@ -74,23 +70,13 @@ def _build_memcpy(seed: int, mode: str, dist_checkpoint_every: int = 0):
                 barrier_timeout_s=20.0,
             )
         }
-        platform = multi_die_platform(2)
-    else:
-        build_args = _mode_build_args(mode)
-        platform = AWSF1Platform()
-    build = BeethovenBuild(
-        memcpy_config(n_cores=_N_CORES),
-        platform,
+    build, handle, src, dsts, pattern = build_memcpy(
+        mode, _SIZE, _N_CORES,
         faults=default_plan(seed),
         watchdog=CHAOS_WATCHDOG,
-        **build_args,
+        seed=seed,
+        build_args=build_args,
     )
-    handle = FpgaHandle(build.design)
-    pattern = bytes((i * 131 + 17 + seed) % 256 for i in range(_SIZE))
-    src = handle.malloc(_SIZE)
-    dsts = [handle.malloc(_SIZE) for _ in range(_N_CORES)]
-    src.write(pattern)
-    handle.copy_to_fpga(src)
     futs = [
         handle.call(
             "Memcpy", "memcpy", c,

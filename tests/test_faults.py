@@ -14,7 +14,7 @@ from repro.faults import CommandTimeout, CoreQuarantined, FaultPlan
 from repro.kernels.memcpy import memcpy_config
 from repro.platforms import AWSF1Platform
 from repro.runtime import FpgaHandle, WatchdogConfig
-from repro.runtime.server import _Waiter
+from repro.runtime.server import CommandContext, _Waiter
 from repro.sim import DeadlockError, SimulationError
 
 
@@ -187,7 +187,7 @@ def test_unmatched_response_counts_as_late():
     # A waiter exists for some other core, so the server is polling; the
     # arriving response matches nobody and must be counted, not dropped
     # silently (the pre-hardening server ignored it without a trace).
-    server._waiters[(7, 7)] = deque([_Waiter(lambda r: None)])
+    server._waiters[(7, 7)] = deque([_Waiter(CommandContext(handle, None, (7, 7)))])
     for word in RoccResponse(0, 0, 1, 0).encode_words():
         handle.design.mmio.resp_words.push(word)
     handle.run_until(lambda: int(server.responses_received) >= 1, max_cycles=1_000)
